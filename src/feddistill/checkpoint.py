@@ -111,20 +111,7 @@ def save_synthetic(path, syn: SyntheticDataset) -> None:
             f.write(np.ascontiguousarray(syn.buckets[c].data).astype(le).tobytes())
 
 
-def roundtrip(obj, path, spec: ArchSpec | None = None):
-    """Save a ParamSet or SyntheticDataset and load it back (bit-exact)."""
-    if isinstance(obj, ParamSet):
-        if spec is None:
-            raise DataFormatError("model round-trips need the architecture")
-        save_model(path, obj, spec)
-        return load_model(path, spec)
-    if isinstance(obj, SyntheticDataset):
-        save_synthetic(path, obj)
-        return load_synthetic(path, syn_lr=obj.syn_lr, scale=obj.scale)
-    raise DataFormatError(f"cannot checkpoint a {type(obj).__name__}")
-
-
-def load_synthetic(path, syn_lr: float = 0.1, scale: float = 100.0) -> SyntheticDataset:
+def load_synthetic(path) -> SyntheticDataset:
     with open(path, "rb") as f:
         _check_header(f, SYN_MAGIC, path)
         (width,) = struct.unpack("<B", _read(f, 1, "precision"))
@@ -144,4 +131,4 @@ def load_synthetic(path, syn_lr: float = 0.1, scale: float = 100.0) -> Synthetic
             raw = _read(f, width * m_c * per_sample, f"class {c} tensor")
             arr = np.frombuffer(raw, dtype=_DTYPE_BY_WIDTH[width]).reshape(m_c, *chw)
             buckets[c] = Tensor(arr.astype(_native(width)), requires_grad=True)
-    return SyntheticDataset(buckets, syn_lr=syn_lr, scale=scale)
+    return SyntheticDataset(buckets)

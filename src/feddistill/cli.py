@@ -6,7 +6,9 @@
     feddistill unlearn <config.json> --requests <file>
     feddistill report <dir>                 summarize report JSONs
 
-Exit codes: 0 ok, 2 validation failure, 3 numeric abort, 4 I/O or format error.
+Exit codes: 0 ok, 2 validation failure (including unservable requests: an
+unknown class or client, or a request line that cannot be parsed), 3 numeric
+abort, 4 I/O or format error.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import argparse
 import logging
 import sys
 
-from .errors import ConfigError, DataFormatError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -102,6 +104,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         for p in e.problems:
             print(f"invalid: {p}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ShapeError as e:
+        print(f"invalid: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericError as e:
         print(f"numeric abort: {e}", file=sys.stderr)

@@ -118,11 +118,18 @@ class ExperimentConfig:
             errs.append(f"precision: expected float32|float64, got {self.precision!r}")
         errs.extend(self.arch.problems())
         errs.extend(self.distill.problems())
+        limits = {"class": self.arch.class_count, "client": self.clients}
         for i, line in enumerate(self.unlearn.requests):
             try:
-                parse_request_line(line)
+                action = parse_request_line(line)
             except Exception as e:
                 errs.append(f"unlearn.requests[{i}]: {e}")
+                continue
+            for t in action.targets if action else ():
+                (kind, target), = t.items()
+                if not 0 <= target < limits[kind]:
+                    errs.append(f"unlearn.requests[{i}]: {kind} {target} is out of range "
+                                f"[0, {limits[kind]})")
         if self.unlearn.unlearn_rounds < 0 or self.unlearn.recovery_rounds < 0 \
                 or self.unlearn.relearn_rounds < 0:
             errs.append("unlearn: round counts must be >= 0")

@@ -47,19 +47,10 @@ class LabeledDataset:
                               source if source is not None else self.source)
 
     def without_classes(self, classes) -> "LabeledDataset":
-        drop = set(int(c) for c in classes)
-        keep = np.array([i for i, y in enumerate(self.labels) if int(y) not in drop],
-                        dtype=np.int64)
-        return self.subset(keep)
+        return self.subset(np.flatnonzero(~np.isin(self.labels, list(classes))))
 
     def only_classes(self, classes) -> "LabeledDataset":
-        want = set(int(c) for c in classes)
-        keep = np.array([i for i, y in enumerate(self.labels) if int(y) in want],
-                        dtype=np.int64)
-        return self.subset(keep)
-
-    def classes_present(self) -> list[int]:
-        return sorted(int(c) for c in np.unique(self.labels))
+        return self.subset(np.flatnonzero(np.isin(self.labels, list(classes))))
 
 
 def class_index(data: LabeledDataset) -> list[np.ndarray]:
@@ -160,9 +151,6 @@ class PartitionPlan:
     counts: np.ndarray           # [clients, classes]
     attempts: int = 1
 
-    def per_client_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
 
 def _draw_counts(per_class_n: list[int], n_clients: int, alpha: float,
                  rng: np.random.Generator, per_class_over_clients: bool) -> np.ndarray:
@@ -257,9 +245,6 @@ class ClassBatchSampler:
 
     def classes(self) -> list[int]:
         return sorted(self._index)
-
-    def class_size(self, c: int) -> int:
-        return len(self._index[c])
 
     def next_batch(self, c: int, size: int) -> np.ndarray:
         pool = self._index[c]

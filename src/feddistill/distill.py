@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -65,23 +65,16 @@ class DistillConfig:
             errs.append(f"{prefix}.real_batch_per_class: must be >= 1")
         return errs
 
-    @staticmethod
-    def standalone_defaults(**overrides) -> "DistillConfig":
-        cfg = DistillConfig(outer_steps=500)
-        return replace(cfg, **overrides)
-
 
 class SyntheticDataset:
-    """Per-class trainable synthetic samples plus their update hyperparameters.
+    """Per-class trainable synthetic samples plus their matching counters.
 
     Pixels are left unclamped while being optimized; clamping to [0, 1]
     happens only on export.
     """
 
-    def __init__(self, buckets: dict[int, Tensor], syn_lr: float, scale: float):
+    def __init__(self, buckets: dict[int, Tensor]):
         self.buckets = dict(sorted(buckets.items()))
-        self.syn_lr = float(syn_lr)
-        self.scale = float(scale)
         self.match_skips = 0
         self.real_grad_steps = 0
         self.real_samples_touched = 0
@@ -110,8 +103,7 @@ class SyntheticDataset:
 
     def clone(self) -> "SyntheticDataset":
         out = SyntheticDataset(
-            {c: Tensor(t.data.copy(), requires_grad=True) for c, t in self.buckets.items()},
-            self.syn_lr, self.scale)
+            {c: Tensor(t.data.copy(), requires_grad=True) for c, t in self.buckets.items()})
         out.match_skips = self.match_skips
         out.real_grad_steps = self.real_grad_steps
         out.real_samples_touched = self.real_samples_touched
@@ -150,7 +142,7 @@ def init_synthetic(client_data: LabeledDataset, s: float, seed: int,
         chosen.sort()
         buckets[c] = Tensor(client_data.samples[chosen].astype(np.dtype(dtype)),
                             requires_grad=True, dtype=dtype)
-    return SyntheticDataset(buckets, syn_lr=0.1, scale=s)
+    return SyntheticDataset(buckets)
 
 
 # ---- gradient distance ---------------------------------------------------------

@@ -111,7 +111,6 @@ class ExperimentReport:
 @dataclass
 class MIAConfig:
     split_seed: int = 0
-    attack: str = "loss-threshold"
 
 
 def accuracy_report(params: ParamSet, spec: ArchSpec, test_set: LabeledDataset,
@@ -261,9 +260,7 @@ def retrain_baseline(clients: list[ClientState], forget_classes: set[int],
 
 
 def original_data_partition(clients: list[ClientState], forget_classes: set[int],
-                            forget_clients: set[int],
-                            excluded_classes: set[int] = frozenset(),
-                            dtype=np.float32) -> ForgetPartition:
+                            forget_clients: set[int], dtype=np.float32) -> ForgetPartition:
     """Forget/keep split over the clients' original samples (not distilled),
     shaped like the distilled partition so the same round machinery applies."""
     splits: dict[int, ClientSplit] = {}
@@ -278,8 +275,7 @@ def original_data_partition(clients: list[ClientState], forget_classes: set[int]
             splits[client.cid] = ClientSplit(forget=by_class, keep={})
             continue
         forget = {c: t for c, t in by_class.items() if c in forget_classes}
-        keep = {c: t for c, t in by_class.items()
-                if c not in forget_classes and c not in excluded_classes}
+        keep = {c: t for c, t in by_class.items() if c not in forget_classes}
         splits[client.cid] = ClientSplit(forget=forget, keep=keep)
     return ForgetPartition(splits=splits, forget_classes=set(forget_classes),
                            forget_clients=set(forget_clients))
@@ -291,26 +287,12 @@ def sga_or_baseline(model: GlobalModel, clients: list[ClientState],
                     sga_lr: float = 0.01, recovery_lr: float = 0.01,
                     dtype=np.float32, pass_batch_size: int = 32
                     ) -> tuple[GlobalModel, list[StageCost]]:
-    """Same ascent/recovery protocol as the distilled path, but every round
-    passes over the clients' original data."""
+    """Same ascent/recovery stages as the distilled path (`UnlearnEngine.run_stages`),
+    but every round passes over the clients' original data."""
     engine = UnlearnEngine(clients, model.spec, master_seed, dtype=dtype,
                            pass_batch_size=pass_batch_size)
     partition = original_data_partition(clients, forget_classes, forget_clients, dtype=dtype)
     if partition.forget_total() == 0:
         raise ShapeError("forget set is empty")
-    params = model.params
-    costs = [StageCost("unlearn", 0, 0, 0.0), StageCost("recover", 0, 0, 0.0)]
-    start = time.monotonic()
-    for _ in range(unlearn_rounds):
-        params = engine.sga_round(params, partition, sga_lr)
-        costs[0].rounds += 1
-        costs[0].samples += partition.forget_total()
-    costs[0].wall_ms = (time.monotonic() - start) * 1e3
-    start = time.monotonic()
-    if partition.keep_total():
-        for _ in range(recovery_rounds):
-            params = engine.recovery_round(params, partition, recovery_lr)
-            costs[1].rounds += 1
-            costs[1].samples += partition.keep_total()
-    costs[1].wall_ms = (time.monotonic() - start) * 1e3
-    return GlobalModel(params=params, spec=model.spec, round=model.round), costs
+    return engine.run_stages(model, partition, unlearn_rounds, recovery_rounds, sga_lr,
+                             recovery_lr)

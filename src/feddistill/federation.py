@@ -57,8 +57,7 @@ class GlobalModel:
 
 
 def build_clients(datasets: list[LabeledDataset], master_seed: int, scale_s: float,
-                  distill_enabled: bool = True, syn_lr: float = 0.1,
-                  dtype=np.float32) -> list[ClientState]:
+                  distill_enabled: bool = True, dtype=np.float32) -> list[ClientState]:
     """One ClientState per dataset; RNG streams and synthetic sets derive from
     (master seed, client id) so client order never matters."""
     clients = []
@@ -68,7 +67,6 @@ def build_clients(datasets: list[LabeledDataset], master_seed: int, scale_s: flo
         if distill_enabled and len(data):
             syn = init_synthetic(data, scale_s, derive_seed(master_seed, "client", cid, "syn"),
                                  dtype=dtype)
-            syn.syn_lr = syn_lr
         clients.append(ClientState(cid=cid, data=data, sampler=sampler, syn=syn))
     return clients
 

@@ -34,7 +34,7 @@ from .evaluate import (
 )
 from .federation import GlobalModel, build_clients, train_federated, write_round_csv
 from .seeds import make_rng
-from .unlearn import RequestAction, UnlearnEngine, UnlearningRequest, parse_request_file
+from .unlearn import RequestAction, StageCost, UnlearnEngine, UnlearningRequest, parse_request_file
 
 log = logging.getLogger(__name__)
 
@@ -139,32 +139,68 @@ def _request_from(action: RequestAction, cfg: ExperimentConfig) -> UnlearningReq
                              mix_per_class=un.mix_per_class)
 
 
-def run_experiment(config_path, actions: list[RequestAction] | None = None) -> RunArtifacts:
-    """Execute the full pipeline for a config file; see module docstring for
-    the artifact layout.  Raises ConfigError / NumericError / OSError for the
-    CLI to map onto exit codes."""
+def _checked_config(config_path) -> ExperimentConfig:
     cfg = load_config(config_path)
     problems = cfg.problems()
     if problems:
         raise ConfigError(problems)
+    return cfg
+
+
+def _build_world(cfg: ExperimentConfig, distill_enabled: bool):
+    """The test set and the clients of the config's world (same seeds every time)."""
+    train, test = build_datasets(cfg)
+    parts, _ = dirichlet_partition(train, cfg.clients, cfg.alpha, cfg.seed,
+                                   per_class_over_clients=cfg.partition_per_class)
+    clients = build_clients(parts, master_seed=cfg.seed, scale_s=cfg.scale_s,
+                            distill_enabled=distill_enabled, dtype=cfg.dtype())
+    return test, clients
+
+
+def _serve_actions(engine: UnlearnEngine, model: GlobalModel, actions: list[RequestAction],
+                   cfg: ExperimentConfig, test: LabeledDataset, report: ExperimentReport,
+                   pools=None) -> tuple[GlobalModel, set[int]]:
+    """Apply the actions in order, appending one evaluated stage per stage run.
+    Returns the final model and the classes that count as forgotten at the end."""
+    cumulative_eval: set[int] = set()
+
+    def record(stage, current, cost, eval_classes):
+        report.stages.append(_evaluate_stage(stage, current, test, eval_classes, cost=cost,
+                                             pools=pools, mia_seed=cfg.seed))
+
+    for action in actions:
+        if action.kind == "relearn":
+            relearn_classes = engine.eval_forget_classes(action.targets)
+            model, cost = engine.relearn(model, action.targets, cfg.unlearn.relearn_rounds,
+                                         lr=cfg.unlearn.recovery_lr)
+            cumulative_eval -= relearn_classes
+            # the relearned classes are the F-Set this stage reports on
+            record("relearn", model, cost, relearn_classes)
+            continue
+        cumulative_eval |= engine.eval_forget_classes(action.targets)
+        eval_now = set(cumulative_eval)
+        model, _ = engine.execute_request(
+            model, _request_from(action, cfg),
+            stage_callback=lambda stage, current, cost: record(stage, current, cost, eval_now))
+    return model, cumulative_eval
+
+
+def run_experiment(config_path) -> RunArtifacts:
+    """Execute the full pipeline for a config file; see module docstring for
+    the artifact layout.  Raises ConfigError / NumericError / OSError for the
+    CLI to map onto exit codes."""
+    cfg = _checked_config(config_path)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = RunArtifacts(output_dir=out)
     dtype = cfg.dtype()
 
-    train, test = build_datasets(cfg)
-    parts, plan = dirichlet_partition(train, cfg.clients, cfg.alpha, cfg.seed,
-                                      per_class_over_clients=cfg.partition_per_class)
-    clients = build_clients(parts, master_seed=cfg.seed, scale_s=cfg.scale_s,
-                            distill_enabled=cfg.distill_enabled, dtype=dtype)
-
-    model, syn_sets, records = train_federated(
+    test, clients = _build_world(cfg, cfg.distill_enabled)
+    model, _, records = train_federated(
         clients, cfg.arch, cfg.distill, master_seed=cfg.seed,
         participation=cfg.participation, distill_enabled=cfg.distill_enabled, dtype=dtype)
 
-    if actions is None:
-        actions = cfg.actions()
-
+    actions = cfg.actions()
     first_targets = next((a.targets for a in actions if a.kind in ("unlearn", "batch")), None)
     engine = UnlearnEngine(clients, cfg.arch, master_seed=cfg.seed, dtype=dtype,
                            pass_batch_size=cfg.unlearn.pass_batch_size)
@@ -176,8 +212,6 @@ def run_experiment(config_path, actions: list[RequestAction] | None = None) -> R
         pools = _mia_pools(cfg, clients, test, initial_forget, cids)
 
     report = ExperimentReport(method="distilled", seed=cfg.seed)
-    from .unlearn import StageCost
-
     train_cost = StageCost("train", rounds=len(records),
                            samples=sum(r.samples for r in records),
                            wall_ms=sum(r.wall_ms for r in records))
@@ -208,65 +242,37 @@ def run_experiment(config_path, actions: list[RequestAction] | None = None) -> R
     write_round_csv(out / "rounds.csv", records)
     artifacts.paths.append(out / "rounds.csv")
 
-    cumulative_eval: set[int] = set()
-    for action in actions:
-        if action.kind == "relearn":
-            relearn_classes = engine.eval_forget_classes(action.targets)
-            model, cost = engine.relearn(model, action.targets, cfg.unlearn.relearn_rounds,
-                                         lr=cfg.unlearn.recovery_lr)
-            cumulative_eval -= relearn_classes
-            # the relearned classes are the F-Set this stage reports on
-            report.stages.append(_evaluate_stage("relearn", model, test, relearn_classes,
-                                                 cost=cost, pools=pools, mia_seed=cfg.seed))
-            continue
-        request = _request_from(action, cfg)
-        cumulative_eval |= engine.eval_forget_classes(action.targets)
-        eval_now = set(cumulative_eval)
-
-        def stage_hook(stage, current, cost, _eval=eval_now):
-            report.stages.append(_evaluate_stage(stage, current, test, _eval,
-                                                 cost=cost, pools=pools, mia_seed=cfg.seed))
-
-        model, _ = engine.execute_request(model, request, stage_callback=stage_hook)
-
+    model, eval_classes = _serve_actions(engine, model, actions, cfg, test, report, pools)
     save_model(out / "model_final.qdmd", model.params, cfg.arch)
     artifacts.paths.append(out / "model_final.qdmd")
     artifacts.reports["distilled"] = report
 
-    if cfg.baselines.retrain or cfg.baselines.sga_original:
-        forget_classes: set[int] = set()
-        forget_clients: set[int] = set()
-        for action in actions:
-            if action.kind in ("unlearn", "batch"):
-                classes, cids = engine.resolve_targets(action.targets)
-                forget_classes |= classes
-                forget_clients |= cids
-        eval_classes = set(cumulative_eval)
+    # the baselines forget what is still forgotten after every action, relearns included
+    forget_classes, forget_clients = engine.forgotten_classes, engine.forgotten_clients
+    if cfg.baselines.retrain and (forget_classes or forget_clients):
+        re_model, _, cost = retrain_baseline(clients, forget_classes, forget_clients,
+                                             cfg.arch, cfg.distill, master_seed=cfg.seed,
+                                             participation=cfg.participation, dtype=dtype)
+        re_report = ExperimentReport(method="retrain_original", seed=cfg.seed)
+        re_report.stages.append(_evaluate_stage("unlearn", re_model, test, eval_classes,
+                                                cost=cost, pools=pools, mia_seed=cfg.seed))
+        artifacts.reports["retrain_original"] = re_report
 
-        if cfg.baselines.retrain and (forget_classes or forget_clients):
-            re_model, _, cost = retrain_baseline(clients, forget_classes, forget_clients,
-                                                 cfg.arch, cfg.distill, master_seed=cfg.seed,
-                                                 participation=cfg.participation, dtype=dtype)
-            re_report = ExperimentReport(method="retrain_original", seed=cfg.seed)
-            re_report.stages.append(_evaluate_stage("unlearn", re_model, test, eval_classes,
-                                                    cost=cost, pools=pools, mia_seed=cfg.seed))
-            artifacts.reports["retrain_original"] = re_report
-
-        if cfg.baselines.sga_original and (forget_classes or forget_clients):
-            sga_model = GlobalModel(params=load_model(out / "model.qdmd", cfg.arch),
-                                    spec=cfg.arch, round=model.round)
-            sga_report = ExperimentReport(method="sga_original", seed=cfg.seed)
-            sga_model, costs = sga_or_baseline(
-                sga_model, clients, forget_classes, forget_clients, master_seed=cfg.seed,
-                unlearn_rounds=cfg.baselines.sga_unlearn_rounds,
-                recovery_rounds=cfg.baselines.sga_recovery_rounds,
-                sga_lr=cfg.unlearn.sga_lr, recovery_lr=cfg.unlearn.recovery_lr, dtype=dtype,
-                pass_batch_size=cfg.unlearn.pass_batch_size)
-            for cost in costs:
-                sga_report.stages.append(_evaluate_stage(cost.stage, sga_model, test,
-                                                         eval_classes, cost=cost, pools=pools,
-                                                         mia_seed=cfg.seed))
-            artifacts.reports["sga_original"] = sga_report
+    if cfg.baselines.sga_original and (forget_classes or forget_clients):
+        sga_model = GlobalModel(params=load_model(out / "model.qdmd", cfg.arch),
+                                spec=cfg.arch, round=model.round)
+        sga_report = ExperimentReport(method="sga_original", seed=cfg.seed)
+        sga_model, costs = sga_or_baseline(
+            sga_model, clients, forget_classes, forget_clients, master_seed=cfg.seed,
+            unlearn_rounds=cfg.baselines.sga_unlearn_rounds,
+            recovery_rounds=cfg.baselines.sga_recovery_rounds,
+            sga_lr=cfg.unlearn.sga_lr, recovery_lr=cfg.unlearn.recovery_lr, dtype=dtype,
+            pass_batch_size=cfg.unlearn.pass_batch_size)
+        for cost in costs:
+            sga_report.stages.append(_evaluate_stage(cost.stage, sga_model, test,
+                                                     eval_classes, cost=cost, pools=pools,
+                                                     mia_seed=cfg.seed))
+        artifacts.reports["sga_original"] = sga_report
 
     for method, rep in artifacts.reports.items():
         json_path = out / f"report_{method}_seed{cfg.seed}.json"
@@ -282,10 +288,7 @@ def run_distill_only(config_path) -> RunArtifacts:
     local data and save the synthetic checkpoints."""
     from .distill import distill_standalone
 
-    cfg = load_config(config_path)
-    problems = cfg.problems()
-    if problems:
-        raise ConfigError(problems)
+    cfg = _checked_config(config_path)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = RunArtifacts(output_dir=out)
@@ -305,49 +308,24 @@ def run_distill_only(config_path) -> RunArtifacts:
 
 def run_unlearn_only(config_path, requests_path) -> RunArtifacts:
     """Execute a request file against previously saved checkpoints."""
-    cfg = load_config(config_path)
-    problems = cfg.problems()
-    if problems:
-        raise ConfigError(problems)
+    cfg = _checked_config(config_path)
     out = Path(cfg.output_dir)
     model_path = out / "model.qdmd"
     if not model_path.exists():
         raise DataFormatError(f"{model_path}: missing; run the `run` stage first")
     actions = parse_request_file(Path(requests_path).read_text())
-    dtype = cfg.dtype()
 
-    train, test = build_datasets(cfg)
-    parts, _ = dirichlet_partition(train, cfg.clients, cfg.alpha, cfg.seed,
-                                   per_class_over_clients=cfg.partition_per_class)
-    clients = build_clients(parts, master_seed=cfg.seed, scale_s=cfg.scale_s,
-                            distill_enabled=False, dtype=dtype)
+    test, clients = _build_world(cfg, distill_enabled=False)
     for client in clients:
         syn_path = out / f"synthetic_client{client.cid}.qdsy"
         if syn_path.exists():
-            client.syn = load_synthetic(syn_path, scale=cfg.scale_s)
+            client.syn = load_synthetic(syn_path)
     model = GlobalModel(params=load_model(model_path, cfg.arch), spec=cfg.arch)
 
-    engine = UnlearnEngine(clients, cfg.arch, master_seed=cfg.seed, dtype=dtype,
+    engine = UnlearnEngine(clients, cfg.arch, master_seed=cfg.seed, dtype=cfg.dtype(),
                            pass_batch_size=cfg.unlearn.pass_batch_size)
     report = ExperimentReport(method="distilled_unlearn", seed=cfg.seed)
-    cumulative_eval: set[int] = set()
-    for action in actions:
-        if action.kind == "relearn":
-            relearn_classes = engine.eval_forget_classes(action.targets)
-            model, cost = engine.relearn(model, action.targets, cfg.unlearn.relearn_rounds,
-                                         lr=cfg.unlearn.recovery_lr)
-            cumulative_eval -= relearn_classes
-            report.stages.append(_evaluate_stage("relearn", model, test, relearn_classes,
-                                                 cost=cost))
-            continue
-        request = _request_from(action, cfg)
-        cumulative_eval |= engine.eval_forget_classes(action.targets)
-        eval_now = set(cumulative_eval)
-
-        def stage_hook(stage, current, cost, _eval=eval_now):
-            report.stages.append(_evaluate_stage(stage, current, test, _eval, cost=cost))
-
-        model, _ = engine.execute_request(model, request, stage_callback=stage_hook)
+    model, _ = _serve_actions(engine, model, actions, cfg, test, report)
 
     save_model(out / "model_final.qdmd", model.params, cfg.arch)
     json_path = out / f"report_distilled_unlearn_seed{cfg.seed}.json"

@@ -283,14 +283,43 @@ class UnlearnEngine:
 
     # ---- request execution ------------------------------------------------------
 
+    def run_stages(self, model: GlobalModel, partition: ForgetPartition, unlearn_rounds: int,
+                   recovery_rounds: int, sga_lr: float, recovery_lr: float,
+                   stage_callback=None) -> tuple[GlobalModel, list[StageCost]]:
+        """U ascent rounds on the partition's forget side, then R recovery
+        rounds on its keep side; recovery is skipped with a warning when the
+        keep side is empty.  When given, `stage_callback(stage_name, model,
+        cost)` runs after each stage with the intermediate model (evaluation
+        hooks; must not mutate it)."""
+        stages = (("unlearn", unlearn_rounds, self.sga_round, sga_lr, partition.forget_total()),
+                  ("recover", recovery_rounds, self.recovery_round, recovery_lr,
+                   partition.keep_total()))
+        current, costs = model, []
+        for stage, rounds, round_fn, lr, size in stages:
+            if stage == "recover" and rounds and not size:
+                log.warning("recovery set is empty after forgetting %s; skipping recovery",
+                            sorted(partition.forget_classes | partition.forget_clients))
+                self.warnings += 1
+                rounds = 0
+            params = current.params
+            start = time.monotonic()
+            for _ in range(rounds):
+                params = round_fn(params, partition, lr)
+            cost = StageCost(stage, rounds, rounds * size, (time.monotonic() - start) * 1e3)
+            costs.append(cost)
+            current = GlobalModel(params=params, spec=model.spec, round=model.round)
+            if stage_callback is not None:
+                stage_callback(stage, current, cost)
+        return current, costs
+
     def execute_request(self, model: GlobalModel, request: UnlearningRequest,
                         stage_callback=None) -> tuple[GlobalModel, list[StageCost]]:
-        """U ascent rounds on the forget side, then R recovery rounds.
+        """Forget the request's targets through `run_stages`.  A batch is one
+        request over several targets: one unlearning and one recovery stage
+        cover all of them.
 
         Targets that were already forgotten are dropped with a warning; a
-        request whose targets were all forgotten is a no-op.  When given,
-        `stage_callback(stage_name, model, cost)` runs after each stage with
-        the intermediate model (evaluation hooks; must not mutate it).
+        request whose targets were all forgotten is a no-op.
         """
         errs = request.problems()
         if errs:
@@ -308,64 +337,22 @@ class UnlearnEngine:
         client_ids -= repeat_clients
         self._request_index += 1
 
-        costs = [StageCost("unlearn", 0, 0, 0.0), StageCost("recover", 0, 0, 0.0)]
         if not classes and not client_ids:
-            return model, costs
+            return model, [StageCost("unlearn", 0, 0, 0.0), StageCost("recover", 0, 0, 0.0)]
         partition = self.build_forget_partition(classes, client_ids, request.mix_per_class)
 
         self.forgotten_classes |= classes
         self.forgotten_clients |= client_ids
-
-        params = model.params
-        start = time.monotonic()
-        for _ in range(request.unlearn_rounds):
-            params = self.sga_round(params, partition, request.sga_lr)
-            costs[0].rounds += 1
-            costs[0].samples += partition.forget_total()
-        costs[0].wall_ms = (time.monotonic() - start) * 1e3
-        current = GlobalModel(params=params, spec=model.spec, round=model.round)
-        if stage_callback is not None:
-            stage_callback("unlearn", current, costs[0])
-
-        start = time.monotonic()
-        if partition.keep_total() == 0:
-            if request.recovery_rounds:
-                log.warning("recovery set is empty after forgetting %s; skipping recovery",
-                            sorted(classes | client_ids))
-                self.warnings += 1
-        else:
-            for _ in range(request.recovery_rounds):
-                params = self.recovery_round(params, partition, request.recovery_lr)
-                costs[1].rounds += 1
-                costs[1].samples += partition.keep_total()
-        costs[1].wall_ms = (time.monotonic() - start) * 1e3
-        current = GlobalModel(params=params, spec=model.spec, round=model.round)
-        if stage_callback is not None:
-            stage_callback("recover", current, costs[1])
-        return current, costs
-
-    def execute_batch(self, model: GlobalModel,
-                      request: UnlearningRequest) -> tuple[GlobalModel, list[StageCost]]:
-        """A batched request is a single request over the union of targets:
-        one unlearning stage and one recovery stage cover all of them."""
-        return self.execute_request(model, request)
-
-    def execute_sequence(self, model: GlobalModel, requests: list[UnlearningRequest]
-                         ) -> tuple[GlobalModel, list[list[StageCost]]]:
-        """Serial execution; each request's recovery excludes everything
-        forgotten by earlier requests."""
-        all_costs = []
-        for request in requests:
-            model, costs = self.execute_request(model, request)
-            all_costs.append(costs)
-        return model, all_costs
+        return self.run_stages(model, partition, request.unlearn_rounds,
+                               request.recovery_rounds, request.sga_lr, request.recovery_lr,
+                               stage_callback)
 
     # ---- relearning ---------------------------------------------------------------
 
     def relearn(self, model: GlobalModel, targets: list[dict], rounds: int,
                 lr: float = 0.01) -> tuple[GlobalModel, StageCost]:
-        """SGD rounds over the rejoined distilled sets (the targets' retained
-        buckets together with everything not currently forgotten)."""
+        """Recovery rounds over the rejoined distilled sets (the targets'
+        retained buckets together with everything not currently forgotten)."""
         classes, client_ids = self.resolve_targets(targets)
         for c in sorted(classes - self.forgotten_classes):
             log.warning("class %d was never unlearned; relearning is a refresh", c)
@@ -376,30 +363,22 @@ class UnlearnEngine:
 
         still_forgotten = self.forgotten_classes - classes
         rejoin_clients = (set(self.clients) - self.forgotten_clients) | client_ids
+        splits = {}
+        for cid in sorted(rejoin_clients):
+            syn = self.clients[cid].syn
+            if syn is not None:
+                splits[cid] = ClientSplit(forget={}, keep={c: t for c, t in syn.buckets.items()
+                                                          if c not in still_forgotten})
+        partition = ForgetPartition(splits=splits, forget_classes=still_forgotten,
+                                    forget_clients=self.forgotten_clients - client_ids)
+        if rounds and not partition.keep_total():
+            raise ShapeError("no retained buckets to relearn from")
         params = model.params
-        cost = StageCost("relearn", 0, 0, 0.0)
         start = time.monotonic()
         for _ in range(rounds):
-            locals_, sizes = [], []
-            for cid in sorted(rejoin_clients):
-                client = self.clients[cid]
-                if client.syn is None:
-                    continue
-                buckets = {c: t for c, t in client.syn.buckets.items()
-                           if c not in still_forgotten}
-                if not buckets:
-                    continue
-                xs, ys = self._batch_of(buckets)
-                locals_.append(self._local_pass(params, xs, ys, lr, -1.0,
-                                                f"relearn client {cid}"))
-                sizes.append(xs.shape[0])
-            if not locals_:
-                raise ShapeError("no retained buckets to relearn from")
-            total = sum(sizes)
-            params = aggregate(locals_, [s / total for s in sizes])
-            cost.rounds += 1
-            cost.samples += total
-        cost.wall_ms = (time.monotonic() - start) * 1e3
+            params = self.recovery_round(params, partition, lr)
+        cost = StageCost("relearn", rounds, rounds * partition.keep_total(),
+                         (time.monotonic() - start) * 1e3)
         self.forgotten_classes -= classes
         self.forgotten_clients -= client_ids
         return GlobalModel(params=params, spec=model.spec, round=model.round), cost

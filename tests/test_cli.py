@@ -138,3 +138,67 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     config = _config(tmp_path)
     assert main(["run", str(config)]) == 0
     assert (override / "model.qdmd").exists()
+
+
+SERVED = ["unlearn class=1", "relearn class=1", "batch class=0,class=2"]
+
+
+@pytest.fixture(scope="module")
+def served_run(tmp_path_factory):
+    """One `run` whose checkpoints later `unlearn` calls serve requests from."""
+    tmp_path = tmp_path_factory.mktemp("served")
+    config = _config(tmp_path, unlearn={"requests": SERVED, "sga_lr": 0.1,
+                                        "recovery_lr": 0.1, "mix_per_class": 3},
+                     baselines={})
+    assert main(["run", str(config)]) == 0
+    return tmp_path, config
+
+
+def test_unlearn_subcommand_reproduces_the_run_stages(served_run):
+    tmp_path, config = served_run
+    reqs = tmp_path / "reqs.txt"
+    reqs.write_text("\n".join(SERVED) + "\n")
+    assert main(["unlearn", str(config), "--requests", str(reqs)]) == 0
+    out = tmp_path / "out"
+    run = json.loads((out / "report_distilled_seed7.json").read_text())["stages"]
+    served = json.loads((out / "report_distilled_unlearn_seed7.json").read_text())["stages"]
+    assert [s["stage"] for s in run] == ["train", "unlearn", "recover", "relearn",
+                                         "unlearn", "recover"]
+    for stage in run[1:] + served:
+        stage.pop("mia_forget_rate")
+    assert served == run[1:]
+
+
+@pytest.mark.parametrize("command, request_line, message", [
+    ("unlearn", "frobnicate class=1", "cannot parse request line"),
+    ("unlearn", "unlearn class=9", "class 9"),
+    ("run", "unlearn class=3", "unlearn.requests[0]: class 3"),
+])
+def test_unservable_requests_exit_2(served_run, tmp_path, capsys, command, request_line,
+                                    message):
+    if command == "run":
+        config = _config(tmp_path, unlearn={"requests": [request_line]})
+        argv = ["run", str(config)]
+    else:
+        config = served_run[1]
+        reqs = tmp_path / "reqs.txt"
+        reqs.write_text(request_line + "\n")
+        argv = ["unlearn", str(config), "--requests", str(reqs)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and message in err and "Traceback" not in err
+    if command == "run":
+        assert not (tmp_path / "out" / "model.qdmd").exists()   # rejected before training
+
+
+def test_baselines_keep_a_class_that_was_relearned(tmp_path):
+    config = _config(tmp_path, unlearn={"requests": ["unlearn class=1", "relearn class=1",
+                                                     "unlearn class=2"],
+                                        "sga_lr": 0.1, "recovery_lr": 0.1, "mix_per_class": 3},
+                     baselines={"retrain": True})
+    assert main(["run", str(config)]) == 0
+    report = json.loads((tmp_path / "out" / "report_retrain_original_seed7.json").read_text())
+    stage = report["stages"][0]
+    assert stage["forget_classes"] == [2]
+    assert stage["per_class_correct"][1] >= 0.9 * stage["per_class_total"][1]

@@ -232,7 +232,7 @@ def test_synthetic_checkpoint_roundtrip(tmp_path):
     syn = init_synthetic(data, s=30, seed=23)
     path = tmp_path / "syn.qdsy"
     save_synthetic(path, syn)
-    loaded = load_synthetic(path, syn_lr=syn.syn_lr, scale=syn.scale)
+    loaded = load_synthetic(path)
     assert loaded.classes() == syn.classes()
     for c in syn.buckets:
         assert loaded.buckets[c].shape == syn.buckets[c].shape
@@ -255,20 +255,3 @@ def test_synthetic_checkpoint_wrong_magic(tmp_path):
     with pytest.raises(DataFormatError, match="QDSY"):
         load_synthetic(path)
 
-
-def test_checkpoint_roundtrip_helper(tmp_path):
-    from feddistill.checkpoint import roundtrip
-
-    params = init_params(SPEC, InitDistribution(seed=26))
-    loaded = roundtrip(params, tmp_path / "m.qdmd", SPEC)
-    np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
-
-    data = synth_blobs(2, 20, (1, 2, 2), separation=4.0, seed=27)
-    syn = init_synthetic(data, s=10, seed=28)
-    back = roundtrip(syn, tmp_path / "s.qdsy")
-    for c in syn.buckets:
-        np.testing.assert_array_equal(back.buckets[c].data, syn.buckets[c].data)
-    assert back.scale == syn.scale
-
-    with pytest.raises(DataFormatError):
-        roundtrip(42, tmp_path / "x.bin")

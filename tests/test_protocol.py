@@ -110,7 +110,7 @@ def test_unlearning_every_class_flattens_the_model():
         te.extend(rows[300:])
     train, test = full.subset(np.array(tr)), full.subset(np.array(te))
     parts, _ = dirichlet_partition(train, 4, math.inf, seed=1)
-    clients = build_clients(parts, master_seed=2, scale_s=25.0, syn_lr=0.02)
+    clients = build_clients(parts, master_seed=2, scale_s=25.0)
     cfg = DistillConfig(outer_steps=12, inner_steps=5, real_batch_per_class=64,
                         model_lr=0.1, seed=2, syn_lr=0.02)
     model, _, _ = train_federated(clients, spec, cfg, master_seed=2)
@@ -132,17 +132,18 @@ def test_unlearning_every_class_flattens_the_model():
 def test_batched_request_forgets_both_and_costs_less(worlds):
     w = worlds[10]
     batch_engine = UnlearnEngine(w["clients"], SPEC, master_seed=12)
-    batched, batch_costs = batch_engine.execute_batch(
+    batched, batch_costs = batch_engine.execute_request(
         w["model"], _request([{"class": 0}, {"class": 2}]))
     acc = accuracy_report(batched.params, SPEC, w["test"], {0, 2})
     per_class = acc.per_class_accuracy()
     assert per_class[0] < 0.05 and per_class[2] < 0.05
 
     seq_engine = UnlearnEngine(w["clients"], SPEC, master_seed=12)
-    _, seq_costs = seq_engine.execute_sequence(
-        w["model"], [_request([{"class": 0}]), _request([{"class": 2}])])
+    model, seq_total = w["model"], 0
+    for target in (0, 2):
+        model, costs = seq_engine.execute_request(model, _request([{"class": target}]))
+        seq_total += sum(c.samples for c in costs)
     batch_total = sum(c.samples for c in batch_costs)
-    seq_total = sum(c.samples for costs in seq_costs for c in costs)
     assert batch_total < seq_total
 
 

@@ -224,24 +224,6 @@ def test_execute_request_repeat_is_noop_with_warning():
     assert all(c.rounds == 0 for c in costs)
 
 
-def test_execute_batch_of_one_equals_request_bitwise():
-    model, clients, spec = _trained_world()
-    e1 = UnlearnEngine(clients, spec, master_seed=15)
-    e2 = UnlearnEngine(clients, spec, master_seed=15)
-    request = UnlearningRequest(targets=[{"class": 2}])
-    a, _ = e1.execute_request(model, request)
-    b, _ = e2.execute_batch(model, request)
-    np.testing.assert_array_equal(a.params.to_vector(), b.params.to_vector())
-
-
-def test_execute_sequence_empty_is_identity():
-    model, clients, spec = _trained_world()
-    engine = UnlearnEngine(clients, spec, master_seed=16)
-    out, costs = engine.execute_sequence(model, [])
-    assert costs == []
-    np.testing.assert_array_equal(out.params.to_vector(), model.params.to_vector())
-
-
 def test_sequence_excludes_forgotten_from_recovery():
     model, clients, spec = _trained_world()
     engine = UnlearnEngine(clients, spec, master_seed=17)
