@@ -1,0 +1,7 @@
+"""`python -m feddistill ...`: the `feddistill` command line without installing it."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

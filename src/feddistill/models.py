@@ -31,6 +31,7 @@ from .tensor import (
     reshape,
     sqrt,
     transpose,
+    window_sum,
 )
 
 from .tensor import exp as texp
@@ -202,8 +203,7 @@ def _instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 def _avg_pool(x: Tensor, k: int) -> Tensor:
     b, c, h, w = x.shape
-    xr = reshape(x, (b, c, h // k, k, w // k, k))
-    return mean(xr, axes=(3, 5))
+    return window_sum(reshape(x, (b, c, h // k, k, w // k, k))) * (1.0 / (k * k))
 
 
 def _conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

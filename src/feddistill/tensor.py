@@ -8,6 +8,11 @@ inputs that produced one of the gradients (`hypergrad`).
 Arithmetic is strict: binary ops require identical shapes and dtypes.  The
 only sanctioned broadcasts are explicit (`expand`) and scalar constants.
 Default precision is 32-bit; pass float64 arrays for the 64-bit test graphs.
+
+`expand` yields a read-only broadcast view, so no op may write into an
+input's `.data`.  numpy orders the additions of a reduction or a matrix
+product by the operands' strides, so `asum` and `matmul` hand numpy
+C-contiguous arrays: a result never depends on whether an input is a view.
 """
 from __future__ import annotations
 
@@ -16,6 +21,7 @@ import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GraphError, NumericError, ShapeError
 
@@ -185,11 +191,15 @@ class Tensor:
 def _op(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
-    track = _recording() and any(p.requires_grad for p in parents)
+    track = detached = False
+    for p in parents:
+        track = track or p.requires_grad
+        detached = detached or p._detached_src
+    track = track and _recording()
     out.requires_grad = track
     out._parents = parents if track else ()
     out._vjp = vjp if track else None
-    out._detached_src = any(p._detached_src for p in parents)
+    out._detached_src = detached
     return out
 
 
@@ -317,7 +327,39 @@ def asum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
         gk = g if keepdims else reshape(g, kd_shape)
         return (expand(gk, full),)
 
-    return _op(a.data.sum(axis=axs, keepdims=keepdims), (a,), vjp)
+    return _op(np.ascontiguousarray(a.data).sum(axis=axs, keepdims=keepdims), (a,), vjp)
+
+
+def window_sum(x6: Tensor) -> Tensor:
+    """[B,C,H,kh,W,kw] -> [B,C,H,W]: the sum over axes 3 and 5, bit for bit
+    what ``x6.sum(axis=(3, 5))`` gives, without numpy's slow path for two
+    non-adjacent reduction axes.
+
+    numpy adds each window row left to right onto +0, then the rows in
+    order; strided adds reproduce that.  When W == 1 numpy coalesces the
+    axes, and from kw == 8 on it sums each row pairwise, so those layouts go
+    to numpy itself.
+    """
+    if x6.data.ndim != 6:
+        raise ShapeError(f"window_sum: 6-D input required, got {x6.shape}")
+    x = np.ascontiguousarray(x6.data)
+    kh, w, kw = x.shape[3], x.shape[4], x.shape[5]
+    if w == 1 or kw >= 8:
+        data = x.sum(axis=(3, 5))
+    else:
+        data = np.zeros(x.shape[:3] + x.shape[4:5], dtype=x.dtype)
+        for i in range(kh):
+            row = x[:, :, :, i, :, 0].copy()
+            for j in range(1, kw):
+                row += x[:, :, :, i, :, j]
+            data += row
+    kd_shape = x.shape[:3] + (1,) + x.shape[4:5] + (1,)
+    full = x.shape
+
+    def vjp(g):
+        return (expand(reshape(g, kd_shape), full),)
+
+    return _op(data, (x6,), vjp)
 
 
 def expand(a: Tensor, shape) -> Tensor:
@@ -336,7 +378,7 @@ def expand(a: Tensor, shape) -> Tensor:
     def vjp(g):
         return (asum(g, axes=exp_axes, keepdims=True) if exp_axes else g,)
 
-    return _op(np.ascontiguousarray(np.broadcast_to(a.data, shape)), (a,), vjp)
+    return _op(np.broadcast_to(a.data, shape), (a,), vjp)
 
 
 def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
@@ -358,7 +400,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (matmul(g, transpose(b)), matmul(transpose(a), g))
 
-    return _op(a.data @ b.data, (a, b), vjp)
+    return _op(np.ascontiguousarray(a.data) @ np.ascontiguousarray(b.data), (a, b), vjp)
 
 
 def take_slice(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -423,12 +465,8 @@ def im2col(x: Tensor, ksize: int, stride: int = 1, padding: int = 0) -> Tensor:
     """[B,C,H,W] -> [B*OH*OW, C*k*k] patch matrix; linear, adjoint is col2im."""
     b, c, h, w, oh, ow = _conv_geometry(x.data.shape, ksize, stride, padding)
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((b, c, ksize * ksize, oh, ow), dtype=x.data.dtype)
-    for ki in range(ksize):
-        for kj in range(ksize):
-            cols[:, :, ki * ksize + kj] = xp[:, :, ki:ki + stride * oh:stride,
-                                             kj:kj + stride * ow:stride]
-    data = np.ascontiguousarray(cols.transpose(0, 3, 4, 1, 2)).reshape(b * oh * ow, c * ksize * ksize)
+    windows = sliding_window_view(xp, (ksize, ksize), axis=(2, 3))[:, :, ::stride, ::stride]
+    data = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * ksize * ksize)
     full = x.data.shape
 
     def vjp(g):

@@ -5,7 +5,8 @@ import pytest
 
 from feddistill.errors import ShapeError
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
-from feddistill.tensor import Tensor, finite_diff_check, grad
+from feddistill.models import _avg_pool
+from feddistill.tensor import Tensor, asum, exp, finite_diff_check, grad, mean, mul, reshape
 
 
 MLP = ArchSpec(kind="mlp", input_shape=(1, 1, 4), class_count=3, hidden=(8,))
@@ -186,3 +187,49 @@ def test_forward_ce_gradient_matches_fd_convnet():
     ad = gs.grads[0].data
     denom = np.maximum(1e-6, np.maximum(np.abs(fd), np.abs(ad)))
     assert (np.abs(fd - ad) / denom).max() < 1e-4
+
+
+def _pooled_energy(x: Tensor, k: int, c: np.ndarray) -> Tensor:
+    return asum(mul(exp(_avg_pool(x, k)), Tensor(c)))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_avg_pool_first_and_second_order_match_fd(k):
+    # c01's tolerances: gradient error < 1e-4, second-order error < 1e-3
+    rng = _rng(30 + k)
+    x0 = rng.normal(size=(2, 2, 2 * k, 3 * k))
+    c = rng.normal(size=(2, 2, 2, 3))
+    w = rng.normal(size=x0.shape)
+    assert finite_diff_check(lambda t: _pooled_energy(t, k, c), Tensor(x0),
+                             eps=1e-3, rel_floor=1e-4) < 1e-4
+
+    def grad_energy(t):
+        # the inner gradient is taken at a unit scale so that it stays a
+        # function of t, as a parameter gradient stays one of the pixels
+        scale = Tensor(np.ones(x0.shape), requires_grad=True)
+        g = grad(_pooled_energy(mul(t, scale), k, c), [scale], create_graph=True)[0]
+        return asum(mul(mul(g, g), Tensor(w)))
+
+    assert finite_diff_check(grad_energy, Tensor(x0), eps=1e-4, rel_floor=1e-4) < 1e-3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_avg_pool_equals_mean_of_windows_bitwise(k, dtype):
+    # forward, gradient and second-order gradient all equal the plain
+    # mean over the reshaped windows, bit for bit
+    rng = _rng(40 + k)
+    x0 = rng.normal(size=(3, 2, 2 * k, 3 * k)).astype(dtype)
+    c = rng.normal(size=(3, 2, 2, 3)).astype(dtype)
+
+    def reference(t):
+        return mean(reshape(t, (3, 2, 2, k, 3, k)), axes=(3, 5))
+
+    results = []
+    for pool in (lambda t: _avg_pool(t, k), reference):
+        x = Tensor(x0.copy(), requires_grad=True)
+        y = pool(x)
+        g = grad(asum(mul(exp(y), Tensor(c))), [x], create_graph=True)[0]
+        gg = grad(asum(mul(g, g)), [x])[0]
+        results.append([y.data.tobytes(), g.data.tobytes(), gg.data.tobytes()])
+    assert results[0] == results[1]

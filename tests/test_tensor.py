@@ -31,6 +31,7 @@ from feddistill.tensor import (
     sqrt,
     take_slice,
     transpose,
+    window_sum,
 )
 
 
@@ -293,6 +294,57 @@ def test_expand_sum_duality():
     y = expand(x, (2, 3))
     g = grad(asum(mul(y, y)), [x])[0]
     np.testing.assert_allclose(g.data, 2 * x.data * 3)
+
+
+def test_expand_output_is_read_only():
+    y = expand(_leaf(np.array([[1.0], [2.0]])), (2, 3))
+    assert not y.data.flags.writeable
+    with pytest.raises(ValueError):
+        y.data[0, 0] = 5.0
+
+
+def test_reductions_and_products_ignore_views():
+    # numpy orders the additions of a reduction over a broadcast view
+    # differently from the contiguous copy; the ops must not
+    for seed in range(10):
+        rng = _rng(seed)
+        view = expand(Tensor(rng.normal(size=(32, 16, 1, 1))), (32, 16, 8, 8))
+        copy = Tensor(np.ascontiguousarray(view.data))
+        assert asum(view).data.tobytes() == asum(copy).data.tobytes()
+        row = expand(Tensor(rng.normal(size=(1, 16))), (64, 16))
+        w = Tensor(rng.normal(size=(16, 10)))
+        assert (matmul(row, w).data.tobytes()
+                == matmul(Tensor(np.ascontiguousarray(row.data)), w).data.tobytes())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_window_sum_equals_numpy_bitwise(dtype):
+    rng = _rng(17)
+    for k in range(2, 9):
+        for wk in (1, 2, 3, 8):
+            for hk in (1, 2, 5):
+                x = rng.normal(size=(2, 3, hk * k, wk * k)) * 10.0 ** rng.uniform(-3, 3)
+                # relu outputs hold -0.0, whose windows numpy sums to +0.0
+                x = np.where(rng.random(x.shape) < 0.3, -0.0, x).astype(dtype)
+                x6 = x.reshape(2, 3, hk, k, wk, k)
+                out = window_sum(Tensor(x6)).data
+                assert out.tobytes() == x6.sum(axis=(3, 5)).tobytes(), (k, wk, hk)
+
+
+def test_im2col_equals_slice_loop():
+    rng = _rng(11)
+    x = rng.normal(size=(2, 3, 5, 5))
+    k = 3
+    for stride in (1, 2):
+        for padding in (0, 1):
+            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            oh = (5 + 2 * padding - k) // stride + 1
+            ref = np.empty((2, oh, oh, 3, k, k))
+            for i in range(oh):
+                for j in range(oh):
+                    ref[:, i, j] = xp[:, :, i * stride:i * stride + k, j * stride:j * stride + k]
+            cols = im2col(Tensor(x), k, stride, padding).data
+            np.testing.assert_array_equal(cols, ref.reshape(2 * oh * oh, 3 * k * k))
 
 
 def test_im2col_col2im_adjoint_pair():
