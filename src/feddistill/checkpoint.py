@@ -1,7 +1,8 @@
 """Binary checkpoints: "QDMD" for model parameters, "QDSY" for synthetic sets.
 
 Tensors are stored little-endian at their in-memory precision; a save/load
-round trip is bit-exact.  Loaders fail fast on magic/version mismatches.
+round trip is bit-exact.  Loaders fail fast on magic/version mismatches,
+unknown codes and bytes after the last tensor, naming the byte offset.
 """
 from __future__ import annotations
 
@@ -43,6 +44,14 @@ def _read(f, count: int, what: str) -> bytes:
     return buf
 
 
+def _check_end(f, path) -> None:
+    offset = f.tell()
+    extra = len(f.read())
+    if extra:
+        raise DataFormatError(f"{path}: {extra} trailing bytes after the last tensor, "
+                              f"at byte {offset}")
+
+
 def _check_header(f, magic: bytes, path) -> None:
     got = _read(f, 4, "magic")
     if got != magic:
@@ -77,15 +86,28 @@ def load_model(path, spec: ArchSpec) -> ParamSet:
             raise DataFormatError(f"{path}: checkpoint was written for a different architecture")
         (count,) = struct.unpack("<I", _read(f, 4, "entry count"))
         entries = []
-        for _ in range(count):
+        for index in range(count):
             (name_len,) = struct.unpack("<H", _read(f, 2, "name length"))
-            name = _read(f, name_len, "name").decode("utf-8")
+            offset = f.tell()
+            try:
+                name = _read(f, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataFormatError(f"{path}: entry {index}: name at byte {offset} "
+                                      f"is not UTF-8") from None
+            offset = f.tell()
             role_code, width, ndim = struct.unpack("<BBB", _read(f, 3, "entry header"))
+            if role_code not in _ROLE_NAMES:
+                raise DataFormatError(f"{path}: entry {index} ({name}): unknown role code "
+                                      f"{role_code} at byte {offset}")
+            if width not in _DTYPE_BY_WIDTH:
+                raise DataFormatError(f"{path}: entry {index} ({name}): unsupported precision "
+                                      f"byte {width} at byte {offset + 1}")
             shape = struct.unpack(f"<{ndim}I", _read(f, 4 * ndim, "shape"))
             raw = _read(f, width * int(np.prod(shape)) if shape else width, f"tensor {name}")
             arr = np.frombuffer(raw, dtype=_DTYPE_BY_WIDTH[width]).reshape(shape)
             entries.append((name, Tensor(arr.astype(_native(width)), requires_grad=True),
                             _ROLE_NAMES[role_code]))
+        _check_end(f, path)
     return ParamSet(entries)
 
 
@@ -131,4 +153,5 @@ def load_synthetic(path) -> SyntheticDataset:
             raw = _read(f, width * m_c * per_sample, f"class {c} tensor")
             arr = np.frombuffer(raw, dtype=_DTYPE_BY_WIDTH[width]).reshape(m_c, *chw)
             buckets[c] = Tensor(arr.astype(_native(width)), requires_grad=True)
+        _check_end(f, path)
     return SyntheticDataset(buckets)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -202,3 +204,41 @@ def test_baselines_keep_a_class_that_was_relearned(tmp_path):
     stage = report["stages"][0]
     assert stage["forget_classes"] == [2]
     assert stage["per_class_correct"][1] >= 0.9 * stage["per_class_total"][1]
+
+
+def _first_entry_header(raw: bytes) -> int:
+    # QDMD: magic, version, 32-byte arch digest, entry count, then the first
+    # entry's name length and name, then its role/precision/rank bytes
+    (name_len,) = struct.unpack_from("<H", raw, 44)
+    return 46 + name_len
+
+
+def _set_byte(offset_of, value):
+    def corrupt(raw: bytes) -> bytes:
+        offset = offset_of(raw)
+        return raw[:offset] + bytes([value]) + raw[offset + 1:]
+    return corrupt
+
+
+@pytest.mark.parametrize("name, corrupt, message", [
+    ("model.qdmd", _set_byte(_first_entry_header, 9),
+     "entry 0 (layer0.weight): unknown role code 9 at byte 59"),
+    ("model.qdmd", _set_byte(lambda raw: _first_entry_header(raw) + 1, 3),
+     "entry 0 (layer0.weight): unsupported precision byte 3 at byte 60"),
+    ("model.qdmd", _set_byte(lambda raw: 46, 0xFF), "entry 0: name at byte 46 is not UTF-8"),
+    ("model.qdmd", lambda raw: raw + b"junk", "4 trailing bytes"),
+    ("model.qdmd", lambda raw: raw[:-4], "truncated"),
+    ("synthetic_client0.qdsy", lambda raw: raw + b"junk", "4 trailing bytes"),
+], ids=["role-code", "precision", "name", "qdmd-trailing", "qdmd-truncated", "qdsy-trailing"])
+def test_corrupt_checkpoints_exit_4(served_run, tmp_path, monkeypatch, capsys, name, corrupt,
+                                    message):
+    out = tmp_path / "out"
+    shutil.copytree(served_run[0] / "out", out)
+    (out / name).write_bytes(corrupt((out / name).read_bytes()))
+    monkeypatch.setenv("FEDDISTILL_OUTPUT_DIR", str(out))
+    reqs = tmp_path / "reqs.txt"
+    reqs.write_text("unlearn class=1\n")
+    capsys.readouterr()
+    assert main(["unlearn", str(served_run[1]), "--requests", str(reqs)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and message in err and "Traceback" not in err
