@@ -285,14 +285,15 @@ def sga_or_baseline(model: GlobalModel, clients: list[ClientState],
                     forget_classes: set[int], forget_clients: set[int],
                     master_seed: int, unlearn_rounds: int = 2, recovery_rounds: int = 2,
                     sga_lr: float = 0.01, recovery_lr: float = 0.01,
-                    dtype=np.float32, pass_batch_size: int = 32
+                    dtype=np.float32, pass_batch_size: int = 32, stage_callback=None
                     ) -> tuple[GlobalModel, list[StageCost]]:
-    """Same ascent/recovery stages as the distilled path (`UnlearnEngine.run_stages`),
-    but every round passes over the clients' original data."""
+    """Same ascent/recovery stages as the distilled path (`UnlearnEngine.run_stages`,
+    which calls `stage_callback` after each stage), but every round passes
+    over the clients' original data."""
     engine = UnlearnEngine(clients, model.spec, master_seed, dtype=dtype,
                            pass_batch_size=pass_batch_size)
     partition = original_data_partition(clients, forget_classes, forget_clients, dtype=dtype)
     if partition.forget_total() == 0:
         raise ShapeError("forget set is empty")
     return engine.run_stages(model, partition, unlearn_rounds, recovery_rounds, sga_lr,
-                             recovery_lr)
+                             recovery_lr, stage_callback=stage_callback)

@@ -262,16 +262,18 @@ def run_experiment(config_path) -> RunArtifacts:
         sga_model = GlobalModel(params=load_model(out / "model.qdmd", cfg.arch),
                                 spec=cfg.arch, round=model.round)
         sga_report = ExperimentReport(method="sga_original", seed=cfg.seed)
-        sga_model, costs = sga_or_baseline(
+
+        def record(stage, current, cost):
+            sga_report.stages.append(_evaluate_stage(stage, current, test, eval_classes,
+                                                     cost=cost, pools=pools,
+                                                     mia_seed=cfg.seed))
+
+        sga_or_baseline(
             sga_model, clients, forget_classes, forget_clients, master_seed=cfg.seed,
             unlearn_rounds=cfg.baselines.sga_unlearn_rounds,
             recovery_rounds=cfg.baselines.sga_recovery_rounds,
             sga_lr=cfg.unlearn.sga_lr, recovery_lr=cfg.unlearn.recovery_lr, dtype=dtype,
-            pass_batch_size=cfg.unlearn.pass_batch_size)
-        for cost in costs:
-            sga_report.stages.append(_evaluate_stage(cost.stage, sga_model, test,
-                                                     eval_classes, cost=cost, pools=pools,
-                                                     mia_seed=cfg.seed))
+            pass_batch_size=cfg.unlearn.pass_batch_size, stage_callback=record)
         artifacts.reports["sga_original"] = sga_report
 
     for method, rep in artifacts.reports.items():

@@ -206,6 +206,32 @@ def test_baselines_keep_a_class_that_was_relearned(tmp_path):
     assert stage["per_class_correct"][1] >= 0.9 * stage["per_class_total"][1]
 
 
+def test_sga_original_scores_each_stage_on_its_own_model(tmp_path):
+    from feddistill.checkpoint import load_model
+    from feddistill.config import load_config
+    from feddistill.evaluate import accuracy_report, sga_or_baseline
+    from feddistill.federation import GlobalModel
+    from feddistill.runner import _build_world
+
+    config = _config(tmp_path, baselines={"sga_original": True})
+    assert main(["run", str(config)]) == 0
+    out = tmp_path / "out"
+    stages = json.loads((out / "report_sga_original_seed7.json").read_text())["stages"]
+    assert [s["stage"] for s in stages] == ["unlearn", "recover"]
+
+    cfg = load_config(config)
+    test, clients = _build_world(cfg, distill_enabled=False)
+    model = GlobalModel(params=load_model(out / "model.qdmd", cfg.arch), spec=cfg.arch)
+    unlearned, _ = sga_or_baseline(
+        model, clients, {1}, set(), master_seed=cfg.seed,
+        unlearn_rounds=cfg.baselines.sga_unlearn_rounds, recovery_rounds=0,
+        sga_lr=cfg.unlearn.sga_lr, recovery_lr=cfg.unlearn.recovery_lr, dtype=cfg.dtype(),
+        pass_batch_size=cfg.unlearn.pass_batch_size)
+    expected = accuracy_report(unlearned.params, cfg.arch, test, {1})
+    assert stages[0]["per_class_correct"] == list(expected.per_class_correct)
+    assert stages[0]["f_set_accuracy"] == expected.f_set_accuracy()
+
+
 def _first_entry_header(raw: bytes) -> int:
     # QDMD: magic, version, 32-byte arch digest, entry count, then the first
     # entry's name length and name, then its role/precision/rank bytes
