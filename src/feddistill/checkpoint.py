@@ -3,10 +3,14 @@
 Tensors are stored little-endian at their in-memory precision; a save/load
 round trip is bit-exact.  Loaders fail fast on magic/version mismatches,
 unknown codes and bytes after the last tensor, naming the byte offset.
+Every artifact is written through `atomic_write`.
 """
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +27,22 @@ VERSION = 1
 _ROLE_CODES = {"conv": 0, "norm": 1, "linear": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 _DTYPE_BY_WIDTH = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Write `path` through a temporary file in the same directory that
+    replaces it in one step (`os.replace`) once the block succeeds.  On an
+    error the temporary file is removed and `path` keeps its old bytes."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _le_dtype(dtype: np.dtype) -> tuple[int, np.dtype]:
@@ -63,7 +83,7 @@ def _check_header(f, magic: bytes, path) -> None:
 
 
 def save_model(path, params: ParamSet, spec: ArchSpec) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(spec.digest())
@@ -121,7 +141,7 @@ def save_synthetic(path, syn: SyntheticDataset) -> None:
     else:
         raise DataFormatError("cannot save an empty synthetic set")
     width, le = _le_dtype(syn.buckets[classes[0]].data.dtype)
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(SYN_MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<B", width))

@@ -37,10 +37,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return int(self.samples.shape[0])
 
-    @property
-    def sample_shape(self) -> tuple[int, int, int]:
-        return tuple(self.samples.shape[1:])
-
     def subset(self, indices, source: str | None = None) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.samples[idx], self.labels[idx], self.class_count,

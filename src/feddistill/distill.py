@@ -9,6 +9,12 @@ real batch of that class only.
 The synthetic update differentiates the gradient distance through the inner
 gradient computation with respect to the synthetic pixels, so the model
 gradient on synthetic data must be taken with graph retention.
+
+The first-order loss gradient and the match update run the same fixed-shape
+graph thousands of times.  Each records its kernels once per key into a
+`Tape` kept on the `ArchSpec` (`spec.tapes`) and replays it afterwards; the
+key holds every parameter's name, shape, dtype and requires_grad, the input
+shapes and dtypes and the grad mode, and for the match update the label.
 """
 from __future__ import annotations
 
@@ -21,14 +27,19 @@ import numpy as np
 
 from .data import ClassBatchSampler, LabeledDataset, class_index
 from .errors import NumericError, ShapeError
-from .models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
+from .models import ArchSpec, InitDistribution, check_labels, cross_entropy, forward, init_params
 from .seeds import derive_seed, make_rng
 from .tensor import (
     GradSet,
     ParamSet,
+    Recorder,
     Tensor,
+    _node,
+    _recorder,
+    _recording,
     asum,
     concat,
+    constant,
     div,
     grad,
     hypergrad,
@@ -181,8 +192,7 @@ def grad_distance(ga: GradSet, gb: GradSet) -> Tensor:
         # tiny keeps masked rows' derivatives finite; the mask zeroes them out
         na = sqrt(na2 + tiny)
         nb = sqrt(nb2 + tiny)
-        mask = Tensor(((np.sqrt(na2.data) >= ZERO_ROW_EPS)
-                       & (np.sqrt(nb2.data) >= ZERO_ROW_EPS)).astype(ta.data.dtype))
+        mask = constant(_both_rows_nonzero, na2, nb2)
         row_terms = mul(mask, 1.0 - div(dots, mul(na, nb)))
         layer = asum(row_terms)
         total = layer if total is None else total + layer
@@ -191,13 +201,54 @@ def grad_distance(ga: GradSet, gb: GradSet) -> Tensor:
     return total
 
 
+def _both_rows_nonzero(na2: np.ndarray, nb2: np.ndarray) -> np.ndarray:
+    return ((np.sqrt(na2) >= ZERO_ROW_EPS) & (np.sqrt(nb2) >= ZERO_ROW_EPS)).astype(na2.dtype)
+
+
+def _tape_key(kind, params: ParamSet, arrays) -> tuple:
+    return (kind, tuple((name, t.data.shape, t.data.dtype, t.requires_grad, role)
+                        for name, t, role in params),
+            tuple((a.shape, a.dtype) for a in arrays), _recording())
+
+
+def _detached(data: np.ndarray) -> Tensor:
+    out = Tensor(data)
+    out._detached_src = True
+    return out
+
+
+def loss_gradient(params: ParamSet, spec: ArchSpec, batch: Tensor, labels: np.ndarray,
+                  context: str, create_graph: bool = False) -> GradSet:
+    """Cross-entropy gradient w.r.t. params; a non-finite loss raises
+    NumericError naming `context`.  The first-order gradient is recorded
+    once per key into `spec.tapes`, then replayed."""
+    labels = np.asarray(labels)
+
+    def interpret():
+        loss = cross_entropy(forward(params, spec, batch), labels)
+        loss.check_finite(context)
+        return grad(loss, params, create_graph=create_graph)
+
+    if create_graph or _recorder() is not None:
+        return interpret()
+    inputs = [t.data for t in params.tensors()] + [batch.data, labels]
+    key = _tape_key("loss_gradient", params, inputs[len(params):])
+    tape = spec.tapes.get(key)
+    if tape is None:
+        with Recorder(inputs) as rec:
+            grads = interpret()
+        spec.tapes[key] = rec.finish(grads.grads)
+        return grads
+    check_labels(labels, (batch.shape[0], spec.class_count))
+    outputs, _ = tape.run(inputs, context)
+    return GradSet([_detached(g) for g in outputs], params.names, params.roles)
+
+
 def class_gradient(params: ParamSet, spec: ArchSpec, batch: Tensor, label: int,
                    create_graph: bool = False) -> GradSet:
     """Cross-entropy gradient w.r.t. params over a single-class batch."""
     labels = np.full(batch.shape[0], label, dtype=np.int64)
-    loss = cross_entropy(forward(params, spec, batch), labels)
-    loss.check_finite(f"class {label} gradient")
-    return grad(loss, params, create_graph=create_graph)
+    return loss_gradient(params, spec, batch, labels, f"class {label} gradient", create_graph)
 
 
 def sgd_step(params: ParamSet, grads: GradSet, lr: float, direction: float = -1.0) -> None:
@@ -230,13 +281,42 @@ def match_step(params: ParamSet, spec: ArchSpec,
         else:
             g_real = class_gradient(params, spec, real_batch_by_class[c], c)
         for _ in range(cfg.syn_steps):
-            g_syn = class_gradient(params, spec, bucket, c, create_graph=True)
-            distance = grad_distance(g_real, g_syn)
-            (pixel_grad,) = hypergrad(distance, [bucket])
+            pixel_grad = _match_gradient(params, spec, g_real, bucket, c)
             new_data = bucket.data - bucket.data.dtype.type(cfg.syn_lr) * pixel_grad.data
             bucket = Tensor(new_data, requires_grad=True)
         syn.buckets[c] = bucket
     return syn
+
+
+def _match_gradient(params: ParamSet, spec: ArchSpec, g_real: GradSet, bucket: Tensor,
+                    label: int) -> Tensor:
+    """hypergrad of grad_distance(g_real, class gradient of the bucket) w.r.t.
+    the bucket.  Recorded once per key into `spec.tapes`; on a replay,
+    `hypergrad` receives a one-node graph (distance <- bucket) whose VJP
+    replays the recorded reverse steps."""
+    def interpret(rec=None):
+        g_syn = class_gradient(params, spec, bucket, label, create_graph=True)
+        distance = grad_distance(g_real, g_syn)
+        if rec is not None:
+            rec.split()
+        return distance, hypergrad(distance, [bucket])[0]
+
+    if _recorder() is not None:
+        return interpret()[1]
+    inputs = [t.data for t in params.tensors()] + [g.data for g in g_real.grads] + [bucket.data]
+    key = _tape_key(("match", label), params, inputs[len(params):])
+    tape = spec.tapes.get(key)
+    if tape is None:
+        with Recorder(inputs) as rec:
+            distance, pixel_grad = interpret(rec)
+        spec.tapes[key] = rec.finish([distance], [pixel_grad])
+        return pixel_grad
+    (dist,), slots = tape.run(inputs, f"class {label} gradient")
+
+    def vjp(g):
+        return (Tensor(tape.reverse(slots, g.data)[0]),)
+
+    return hypergrad(_node(dist, (bucket,), vjp), [bucket])[0]
 
 
 # ---- standalone distillation and fine-tuning ------------------------------------

@@ -8,13 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .data import LabeledDataset
-from .distill import DistillConfig, sgd_step
+from .distill import DistillConfig
 from .errors import ShapeError
 from .federation import ClientState, GlobalModel, RoundRecord, train_federated
-from .models import ArchSpec, InitDistribution, cross_entropy, forward, init_params, predict
+from .models import ArchSpec, forward, predict
 from .seeds import make_rng
-from .tensor import ParamSet, Tensor, grad, no_grad
+from .tensor import ParamSet, Tensor, no_grad
 from .unlearn import ClientSplit, ForgetPartition, StageCost, UnlearnEngine
 
 
@@ -46,10 +47,6 @@ class StageRecord:
 
     def overall_accuracy(self) -> float | None:
         return self._acc_over(range(len(self.per_class_total)))
-
-    def per_class_accuracy(self) -> list[float]:
-        return [c / t if t else float("nan")
-                for c, t in zip(self.per_class_correct, self.per_class_total)]
 
     def to_dict(self) -> dict:
         return {
@@ -86,7 +83,7 @@ class ExperimentReport:
     def write_json(self, path) -> None:
         import json
 
-        with open(path, "w") as f:
+        with atomic_write(path, "w") as f:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
 
@@ -96,7 +93,7 @@ class ExperimentReport:
         def fmt(v):
             return "" if v is None else f"{v:.6f}"
 
-        with open(path, "w", newline="") as f:
+        with atomic_write(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["method", "seed", "stage", "rounds", "samples", "wall_ms",
                              "f_set_accuracy", "r_set_accuracy", "overall_accuracy",
@@ -198,28 +195,6 @@ def mia_attack(params: ParamSet, spec: ArchSpec, member_pool: LabeledDataset,
 
 
 # ---- training helpers and baselines ------------------------------------------
-
-
-def fit_model(spec: ArchSpec, data: LabeledDataset, steps: int, lr: float,
-              batch_size: int, seed: int, dtype=np.float32,
-              initial: ParamSet | None = None) -> ParamSet:
-    """Centralized SGD on mixed minibatches (shared oracle/eval trainer)."""
-    params = initial.clone() if initial is not None else init_params(
-        spec, InitDistribution(seed=seed), dtype=dtype)
-    rng = make_rng(seed, "fit")
-    order = rng.permutation(len(data))
-    cursor = 0
-    for _ in range(steps):
-        if cursor + batch_size > len(order):
-            order = rng.permutation(len(data))
-            cursor = 0
-        idx = order[cursor:cursor + min(batch_size, len(order))]
-        cursor += len(idx)
-        x = Tensor(data.samples[idx], dtype=dtype)
-        loss = cross_entropy(forward(params, spec, x), data.labels[idx])
-        loss.check_finite("centralized fit")
-        sgd_step(params, grad(loss, params), lr)
-    return params
 
 
 def filtered_clients(clients: list[ClientState], forget_classes: set[int],

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .data import ClassBatchSampler, LabeledDataset
 from .distill import DistillConfig, SyntheticDataset, class_gradient, init_synthetic, match_step, sgd_step
 from .errors import NumericError, ShapeError
@@ -192,7 +193,7 @@ def train_federated(clients: list[ClientState], spec: ArchSpec, cfg: DistillConf
 def write_round_csv(path, records: list[RoundRecord]) -> None:
     import csv
 
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "client_ids", "wall_ms", "samples", "weights_digest"])
         for r in records:

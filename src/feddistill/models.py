@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .tensor import (
     Tensor,
     add,
     asum,
+    constant,
     expand,
     im2col,
     log,
@@ -49,6 +50,8 @@ class ArchSpec:
     norm: str = "instance"                     # "instance" | "none"
     pool: int = 2                              # avg-pool kernel == stride
     hidden: tuple[int, ...] = (64,)            # mlp hidden sizes
+    # recorded tapes of this run's fixed-shape calls (see distill.loss_gradient)
+    tapes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
@@ -241,8 +244,8 @@ def forward(params: ParamSet, spec: ArchSpec, batch: Tensor) -> Tensor:
 
 
 def log_softmax(logits: Tensor) -> Tensor:
-    # subtracting the (detached) row max only stabilizes; gradients unchanged
-    row_max = Tensor(logits.data.max(axis=1, keepdims=True))
+    # subtracting the (constant) row max only stabilizes; gradients unchanged
+    row_max = constant(lambda x: x.max(axis=1, keepdims=True), logits)
     z = logits - expand(row_max, logits.shape)
     lse = log(asum(texp(z), axes=(1,), keepdims=True))
     return z - expand(lse, z.shape)
@@ -251,15 +254,21 @@ def log_softmax(logits: Tensor) -> Tensor:
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of the true classes."""
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    n_classes = logits.shape[1]
+    check_labels(labels, logits.shape)
+    eye = np.eye(logits.shape[1], dtype=logits.data.dtype)
+    onehot = constant(lambda y: eye[y], labels)
+    picked = asum(mul(log_softmax(logits), onehot))
+    return picked * (-1.0 / logits.shape[0])
+
+
+def check_labels(labels: np.ndarray, logits_shape: tuple[int, int]) -> None:
+    """ShapeError unless `labels` holds one in-range class per logits row."""
+    rows, n_classes = logits_shape
+    if labels.ndim != 1 or labels.shape[0] != rows:
+        raise ShapeError(f"labels shape {labels.shape} does not match logits {logits_shape}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
         raise ShapeError(f"labels must lie in [0, {n_classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
-    onehot = Tensor(np.eye(n_classes, dtype=logits.data.dtype)[labels])
-    picked = asum(mul(log_softmax(logits), onehot))
-    return picked * (-1.0 / logits.shape[0])
 
 
 def predict(params: ParamSet, spec: ArchSpec, samples: np.ndarray,

@@ -173,7 +173,9 @@ def _serve_actions(engine: UnlearnEngine, model: GlobalModel, actions: list[Requ
             relearn_classes = engine.eval_forget_classes(action.targets)
             model, cost = engine.relearn(model, action.targets, cfg.unlearn.relearn_rounds,
                                          lr=cfg.unlearn.recovery_lr)
-            cumulative_eval -= relearn_classes
+            # the F-set in force: a relearned client's classes that are still
+            # forgotten as class targets stay in it
+            cumulative_eval = engine.forgotten_eval_classes()
             # the relearned classes are the F-Set this stage reports on
             record("relearn", model, cost, relearn_classes)
             continue

@@ -13,10 +13,18 @@ Default precision is 32-bit; pass float64 arrays for the 64-bit test graphs.
 input's `.data`.  numpy orders the additions of a reduction or a matrix
 product by the operands' strides, so `asum` and `matmul` hand numpy
 C-contiguous arrays: a result never depends on whether an input is a view.
+
+Every op computes its data through a numpy kernel, a function of its inputs'
+arrays alone.  A value that depends on data but is a constant of the graph (a
+ReLU mask, a row maximum, one-hot labels) is built with `constant`, whose
+kernel is recorded too.  Inside a `Recorder` block each kernel call is
+appended to a `Tape`, the VJP ops that `grad` runs included; `Tape.run`
+replays them over new input arrays without building any tensor.
 """
 from __future__ import annotations
 
 import contextlib
+import itertools
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -33,6 +41,10 @@ _state = threading.local()
 
 def _recording() -> bool:
     return getattr(_state, "recording", True)
+
+
+def _recorder() -> "Recorder | None":
+    return getattr(_state, "recorder", None)
 
 
 class no_grad(contextlib.AbstractContextManager):
@@ -53,10 +65,11 @@ class Tensor:
 
     `_detached_src` marks values that (transitively) came out of a backward
     pass run without graph retention; `hypergrad` uses it to give a precise
-    error instead of silently returning zeros.
+    error instead of silently returning zeros.  `_slot` is set only on the
+    tensors a `Recorder` has seen: (recorder serial, slot index).
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_detached_src")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_detached_src", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -119,15 +132,20 @@ class Tensor:
         out._parents = ()
         out._vjp = None
         out._detached_src = self._detached_src
+        slot = getattr(self, "_slot", None)
+        if slot is not None:
+            out._slot = slot
         return out
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def check_finite(self, context: str = "") -> "Tensor":
+        rec = _recorder()
+        if rec is not None:
+            rec.step(_assert_finite, (self,), None)
         if not np.isfinite(self.data).all():
-            where = f" in {context}" if context else ""
-            raise NumericError(f"non-finite values{where}")
+            raise _non_finite(context)
         return self
 
     def __repr__(self) -> str:
@@ -188,7 +206,7 @@ class Tensor:
         return transpose(self, axes=axes)
 
 
-def _op(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable | None) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     track = detached = False
@@ -200,6 +218,27 @@ def _op(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     out._parents = parents if track else ()
     out._vjp = vjp if track else None
     out._detached_src = detached
+    return out
+
+
+def _op(kernel: Callable, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+    out = _node(kernel(*[p.data for p in parents]), parents, vjp)
+    rec = _recorder()
+    if rec is not None:
+        rec.step(kernel, parents, out)
+    return out
+
+
+def constant(kernel: Callable, *inputs) -> Tensor:
+    """`kernel` of the inputs' data (tensors or raw arrays, labels included)
+    as a constant of the graph: no gradient flows through it.  Every value
+    that depends on data but not differentiably (masks, row maxima, one-hot
+    labels) must be built here, so that a tape recomputes it on replay."""
+    leaves = tuple(t if isinstance(t, Tensor) else _node(t, (), None) for t in inputs)
+    out = _node(kernel(*[t.data for t in leaves]), (), None)
+    rec = _recorder()
+    if rec is not None:
+        rec.step(kernel, leaves, out)
     return out
 
 
@@ -217,17 +256,17 @@ def _check_pair(a: Tensor, b: Tensor, name: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "add")
-    return _op(a.data + b.data, (a, b), lambda g: (g, g))
+    return _op(np.add, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "sub")
-    return _op(a.data - b.data, (a, b), lambda g: (g, neg(g)))
+    return _op(np.subtract, (a, b), lambda g: (g, neg(g)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "mul")
-    return _op(a.data * b.data, (a, b), lambda g: (mul(g, b), mul(g, a)))
+    return _op(np.multiply, (a, b), lambda g: (mul(g, b), mul(g, a)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -236,54 +275,61 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (div(g, b), neg(div(mul(g, a), mul(b, b))))
 
-    return _op(a.data / b.data, (a, b), vjp)
+    return _op(np.true_divide, (a, b), vjp)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _op(-a.data, (a,), lambda g: (neg(g),))
+    return _op(np.negative, (a,), lambda g: (neg(g),))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
-    return _op(a.data + a.data.dtype.type(c), (a,), lambda g: (g,))
+    cc = a.data.dtype.type(c)
+    return _op(lambda x: x + cc, (a,), lambda g: (g,))
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     cc = a.data.dtype.type(c)
-    return _op(a.data * cc, (a,), lambda g: (mul_scalar(g, float(cc)),))
+    return _op(lambda x: x * cc, (a,), lambda g: (mul_scalar(g, float(cc)),))
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
+    e = a.data.dtype.type(exponent)
+
     def vjp(g):
         return (mul_scalar(mul(g, power(a, exponent - 1.0)), exponent),)
 
-    return _op(a.data ** a.data.dtype.type(exponent), (a,), vjp)
+    return _op(lambda x: x ** e, (a,), vjp)
 
 
 def exp(a: Tensor) -> Tensor:
-    return _op(np.exp(a.data), (a,), lambda g: (mul(g, exp(a)),))
+    return _op(np.exp, (a,), lambda g: (mul(g, exp(a)),))
 
 
 def log(a: Tensor) -> Tensor:
-    return _op(np.log(a.data), (a,), lambda g: (div(g, a),))
+    return _op(np.log, (a,), lambda g: (div(g, a),))
 
 
 def sqrt(a: Tensor) -> Tensor:
-    return _op(np.sqrt(a.data), (a,), lambda g: (div(g, mul_scalar(sqrt(a), 2.0)),))
+    return _op(np.sqrt, (a,), lambda g: (div(g, mul_scalar(sqrt(a), 2.0)),))
 
 
 def sin(a: Tensor) -> Tensor:
-    return _op(np.sin(a.data), (a,), lambda g: (mul(g, cos(a)),))
+    return _op(np.sin, (a,), lambda g: (mul(g, cos(a)),))
 
 
 def cos(a: Tensor) -> Tensor:
-    return _op(np.cos(a.data), (a,), lambda g: (neg(mul(g, sin(a))),))
+    return _op(np.cos, (a,), lambda g: (neg(mul(g, sin(a))),))
+
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    return (x > 0).astype(x.dtype)
 
 
 def relu(a: Tensor) -> Tensor:
-    # Mask is a constant of the graph: correct a.e., and exactly what second
-    # order needs (the second derivative of relu is zero away from the kink).
-    mask = Tensor((a.data > 0).astype(a.data.dtype))
-    return _op(a.data * mask.data, (a,), lambda g: (mul(g, mask),))
+    # The mask is a constant of the graph: correct a.e., and exactly what
+    # second order needs (the second derivative of relu is zero away from the
+    # kink).  The product keeps the -0.0 of negative inputs.
+    return _op(lambda x: x * _positive(x), (a,), lambda g: (mul(g, constant(_positive, a)),))
 
 
 # ---- shape ops ---------------------------------------------------------------
@@ -291,7 +337,7 @@ def relu(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     orig = a.data.shape
-    return _op(a.data.reshape(shape), (a,), lambda g: (reshape(g, orig),))
+    return _op(lambda x: x.reshape(shape), (a,), lambda g: (reshape(g, orig),))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -300,7 +346,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     else:
         axes = tuple(axes)
         inv = tuple(int(i) for i in np.argsort(axes))
-    return _op(np.ascontiguousarray(np.transpose(a.data, axes)), (a,),
+    return _op(lambda x: np.ascontiguousarray(x.transpose(axes)), (a,),
                lambda g: (transpose(g, inv),))
 
 
@@ -319,7 +365,7 @@ def asum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     """Sum over the given axes (all by default)."""
     axs = _normalize_axes(axes, a.data.ndim)
     if not axs:
-        return _op(a.data.copy(), (a,), lambda g: (g,))
+        return _op(_copy, (a,), lambda g: (g,))
     kd_shape = tuple(1 if i in axs else s for i, s in enumerate(a.data.shape))
     full = a.data.shape
 
@@ -327,7 +373,7 @@ def asum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
         gk = g if keepdims else reshape(g, kd_shape)
         return (expand(gk, full),)
 
-    return _op(np.ascontiguousarray(a.data).sum(axis=axs, keepdims=keepdims), (a,), vjp)
+    return _op(lambda x: np.ascontiguousarray(x).sum(axis=axs, keepdims=keepdims), (a,), vjp)
 
 
 def window_sum(x6: Tensor) -> Tensor:
@@ -342,24 +388,27 @@ def window_sum(x6: Tensor) -> Tensor:
     """
     if x6.data.ndim != 6:
         raise ShapeError(f"window_sum: 6-D input required, got {x6.shape}")
-    x = np.ascontiguousarray(x6.data)
-    kh, w, kw = x.shape[3], x.shape[4], x.shape[5]
-    if w == 1 or kw >= 8:
-        data = x.sum(axis=(3, 5))
-    else:
-        data = np.zeros(x.shape[:3] + x.shape[4:5], dtype=x.dtype)
-        for i in range(kh):
-            row = x[:, :, :, i, :, 0].copy()
-            for j in range(1, kw):
-                row += x[:, :, :, i, :, j]
-            data += row
-    kd_shape = x.shape[:3] + (1,) + x.shape[4:5] + (1,)
-    full = x.shape
+    full = x6.data.shape
+    kd_shape = full[:3] + (1,) + full[4:5] + (1,)
 
     def vjp(g):
         return (expand(reshape(g, kd_shape), full),)
 
-    return _op(data, (x6,), vjp)
+    return _op(_window_sum, (x6,), vjp)
+
+
+def _window_sum(x: np.ndarray) -> np.ndarray:
+    x = np.ascontiguousarray(x)
+    kh, w, kw = x.shape[3], x.shape[4], x.shape[5]
+    if w == 1 or kw >= 8:
+        return x.sum(axis=(3, 5))
+    data = np.zeros(x.shape[:3] + x.shape[4:5], dtype=x.dtype)
+    for i in range(kh):
+        row = x[:, :, :, i, :, 0].copy()
+        for j in range(1, kw):
+            row += x[:, :, :, i, :, j]
+        data += row
+    return data
 
 
 def expand(a: Tensor, shape) -> Tensor:
@@ -374,11 +423,23 @@ def expand(a: Tensor, shape) -> Tensor:
                 raise ShapeError(f"expand: axis {i} has extent {s0}, cannot expand to {s1}")
             exp_axes.append(i)
     exp_axes = tuple(exp_axes)
+    # the strides np.broadcast_to gives a C-contiguous input: 0 on size-1 axes
+    strides, step = [], a.data.dtype.itemsize
+    for s0 in reversed(a.data.shape):
+        strides.insert(0, 0 if s0 == 1 else step)
+        step *= s0
+
+    def kernel(x):
+        if not x.flags.c_contiguous:
+            return np.broadcast_to(x, shape)
+        view = np.ndarray(shape, x.dtype, x, 0, tuple(strides))   # same view, no wrapper cost
+        view.flags.writeable = False
+        return view
 
     def vjp(g):
         return (asum(g, axes=exp_axes, keepdims=True) if exp_axes else g,)
 
-    return _op(np.broadcast_to(a.data, shape), (a,), vjp)
+    return _op(kernel, (a,), vjp)
 
 
 def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
@@ -400,7 +461,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (matmul(g, transpose(b)), matmul(transpose(a), g))
 
-    return _op(np.ascontiguousarray(a.data) @ np.ascontiguousarray(b.data), (a, b), vjp)
+    return _op(_matmul, (a, b), vjp)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a) @ np.ascontiguousarray(b)
+
+
+def _copy(x: np.ndarray) -> np.ndarray:
+    return x.copy()
 
 
 def take_slice(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -410,20 +479,23 @@ def take_slice(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     def vjp(g):
         return (pad_slice(g, full, axis, start),)
 
-    return _op(a.data[idx].copy(), (a,), vjp)
+    return _op(lambda x: x[idx].copy(), (a,), vjp)
 
 
 def pad_slice(a: Tensor, full_shape, axis: int, start: int) -> Tensor:
     full_shape = tuple(full_shape)
     stop = start + a.data.shape[axis]
-    buf = np.zeros(full_shape, dtype=a.data.dtype)
     idx = tuple(slice(start, stop) if i == axis else slice(None) for i in range(len(full_shape)))
-    buf[idx] = a.data
+
+    def kernel(arr):
+        buf = np.zeros(full_shape, dtype=arr.dtype)
+        buf[idx] = arr
+        return buf
 
     def vjp(g):
         return (take_slice(g, axis, start, stop),)
 
-    return _op(buf, (a,), vjp)
+    return _op(kernel, (a,), vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -431,8 +503,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
     if len(parts) == 1:
-        only = parts[0]
-        return _op(only.data.copy(), (only,), lambda g: (g,))
+        return _op(_copy, (parts[0],), lambda g: (g,))
     ref = parts[0]
     for p in parts[1:]:
         if p.data.ndim != ref.data.ndim or p.data.dtype != ref.data.dtype:
@@ -446,7 +517,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(take_slice(g, axis, int(offsets[i]), int(offsets[i + 1]))
                      for i in range(len(parts)))
 
-    return _op(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp)
+    return _op(lambda *xs: np.concatenate(xs, axis=axis), tuple(parts), vjp)
 
 
 # ---- patch extraction (convolution support) ----------------------------------
@@ -464,15 +535,17 @@ def _conv_geometry(shape, ksize: int, stride: int, padding: int):
 def im2col(x: Tensor, ksize: int, stride: int = 1, padding: int = 0) -> Tensor:
     """[B,C,H,W] -> [B*OH*OW, C*k*k] patch matrix; linear, adjoint is col2im."""
     b, c, h, w, oh, ow = _conv_geometry(x.data.shape, ksize, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = sliding_window_view(xp, (ksize, ksize), axis=(2, 3))[:, :, ::stride, ::stride]
-    data = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * ksize * ksize)
     full = x.data.shape
+
+    def kernel(arr):
+        xp = np.pad(arr, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        windows = sliding_window_view(xp, (ksize, ksize), axis=(2, 3))[:, :, ::stride, ::stride]
+        return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * ksize * ksize)
 
     def vjp(g):
         return (col2im(g, full, ksize, stride, padding),)
 
-    return _op(data, (x,), vjp)
+    return _op(kernel, (x,), vjp)
 
 
 def col2im(cols: Tensor, image_shape, ksize: int, stride: int = 1, padding: int = 0) -> Tensor:
@@ -480,17 +553,19 @@ def col2im(cols: Tensor, image_shape, ksize: int, stride: int = 1, padding: int 
     b, c, h, w, oh, ow = _conv_geometry(tuple(image_shape), ksize, stride, padding)
     if cols.data.shape != (b * oh * ow, c * ksize * ksize):
         raise ShapeError(f"col2im: got {cols.shape}, expected {(b * oh * ow, c * ksize * ksize)}")
-    g6 = cols.data.reshape(b, oh, ow, c, ksize * ksize).transpose(0, 3, 4, 1, 2)
-    buf = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=cols.data.dtype)
-    for ki in range(ksize):
-        for kj in range(ksize):
-            buf[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += g6[:, :, ki * ksize + kj]
-    data = np.ascontiguousarray(buf[:, :, padding:padding + h, padding:padding + w])
+
+    def kernel(arr):
+        g6 = arr.reshape(b, oh, ow, c, ksize * ksize).transpose(0, 3, 4, 1, 2)
+        buf = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=arr.dtype)
+        for ki in range(ksize):
+            for kj in range(ksize):
+                buf[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += g6[:, :, ki * ksize + kj]
+        return np.ascontiguousarray(buf[:, :, padding:padding + h, padding:padding + w])
 
     def vjp(g):
         return (im2col(g, ksize, stride, padding),)
 
-    return _op(data, (cols,), vjp)
+    return _op(kernel, (cols,), vjp)
 
 
 # ---- parameter containers ----------------------------------------------------
@@ -543,9 +618,6 @@ class ParamSet:
     def clone(self) -> "ParamSet":
         return ParamSet((n, Tensor(t.data.copy(), requires_grad=t.requires_grad), r)
                         for n, t, r in self)
-
-    def total_size(self) -> int:
-        return sum(t.size for t in self._tensors)
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([t.data.reshape(-1) for t in self._tensors])
@@ -640,7 +712,11 @@ def grad(loss: Tensor, wrt, create_graph: bool = False):
         if not t.requires_grad:
             raise GraphError("a wrt tensor does not require grad")
 
-    grads: dict[int, Tensor] = {id(loss): Tensor(np.ones(loss.shape, dtype=loss.data.dtype))}
+    seed = Tensor(np.ones(loss.shape, dtype=loss.data.dtype))
+    rec = _recorder()
+    if rec is not None:
+        rec.seed(seed)
+    grads: dict[int, Tensor] = {id(loss): seed}
     wrt_ids = {id(t) for t in tensors}
     ctx = contextlib.nullcontext() if create_graph else no_grad()
     with ctx:
@@ -695,39 +771,176 @@ def hypergrad(match_loss: Tensor, wrt_inputs: Sequence[Tensor]) -> list[Tensor]:
     return grad(match_loss, wrt_list, create_graph=False)
 
 
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float,
-                      rel_floor: float = 1e-6) -> float:
-    """Max relative error between autodiff and central differences of f at x.
+# ---- record once, replay many ------------------------------------------------
 
-    f must be deterministic; evaluations happen at x +/- eps per coordinate.
-    Relative error uses max(|fd|, |ad|, rel_floor) as denominator.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x0 = np.array(x.data, copy=True)
-    leaf = Tensor(x0.copy(), requires_grad=True)
-    y = f(leaf)
-    if y.data.size != 1:
-        raise GraphError("finite_diff_check target must be scalar")
-    if not np.isfinite(y.data).all():
-        raise NumericError("non-finite value at the evaluation point")
-    auto = grad(y, [leaf])[0].data.reshape(-1)
 
-    def _eval(arr: np.ndarray) -> float:
-        val = f(Tensor(arr)).data
-        if not np.isfinite(val).all():
-            raise NumericError("non-finite value during finite differencing")
-        return float(val.reshape(()))
+class _NonFinite(Exception):
+    pass
 
-    fd = np.empty(x0.size, dtype=np.float64)
-    flat = x0.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = _eval(x0)
-        flat[i] = orig - eps
-        fm = _eval(x0)
-        flat[i] = orig
-        fd[i] = (fp - fm) / (2.0 * eps)
-    denom = np.maximum(rel_floor, np.maximum(np.abs(fd), np.abs(auto.astype(np.float64))))
-    return float((np.abs(fd - auto) / denom).max())
+
+def _non_finite(context: str) -> NumericError:
+    where = f" in {context}" if context else ""
+    return NumericError(f"non-finite values{where}")
+
+
+def _assert_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise _NonFinite
+
+
+class Tape:
+    """The kernels of one recorded call as a flat list of steps
+    (kernel, input slots, output slot, slots to free after it).
+
+    Slot 0 receives the results of `check_finite` steps, slots 1..n the
+    inputs; constants sit in their slots from the start.  `run` replays the
+    steps before the split and `reverse` the rest, seeded with a cotangent.
+    Each step runs the same kernel on the same arrays as the interpreter did,
+    so a replay is bitwise equal to interpreting the call again."""
+
+    def __init__(self, template: list, n_inputs: int, steps: list, split: int,
+                 outputs: list, seed_slot: int | None, reverse_outputs: list):
+        self._template = template
+        self._n_inputs = n_inputs
+        self._forward = steps[:split]
+        self._reverse = steps[split:]
+        self._outputs = outputs
+        self._seed_slot = seed_slot
+        self._reverse_outputs = reverse_outputs
+        self.replays = 0
+
+    def run(self, inputs: Sequence, context: str = "") -> tuple[list, list]:
+        """The forward outputs for new input arrays, and the slots that
+        `reverse` continues from.  A failed `check_finite` step raises the
+        interpreter's NumericError, naming `context`."""
+        if len(inputs) != self._n_inputs:
+            raise GraphError(f"tape takes {self._n_inputs} inputs, got {len(inputs)}")
+        self.replays += 1
+        slots = list(self._template)
+        slots[1:1 + self._n_inputs] = inputs
+        _execute(slots, self._forward, context)
+        return _collect(slots, self._outputs), slots
+
+    def reverse(self, slots: list, seed: np.ndarray) -> list:
+        slots = list(slots)
+        if self._seed_slot is not None:
+            slots[self._seed_slot] = seed
+        _execute(slots, self._reverse, "")
+        return _collect(slots, self._reverse_outputs)
+
+
+def _execute(slots: list, steps: list, context: str) -> None:
+    try:
+        for kernel, ins, out, dead in steps:
+            slots[out] = kernel(*[slots[i] for i in ins])
+            for i in dead:
+                slots[i] = None
+    except _NonFinite:
+        raise _non_finite(context) from None
+
+
+def _collect(slots: list, outputs: list) -> list:
+    return [slots[i].copy() if copy else slots[i] for i, copy in outputs]
+
+
+class Recorder:
+    """Records the kernels that the ops inside a ``with`` block run.
+
+    `inputs` are the arrays that change from call to call: a leaf whose data
+    is one of them becomes that input; any other leaf is captured as a
+    constant.  `finish` drops the steps no output needs (such as VJP outputs
+    for parents that need no gradient), schedules each slot's release after
+    its last use, and returns the `Tape`.  Recorders do not nest."""
+
+    _serials = itertools.count(1)
+
+    def __init__(self, inputs: Sequence):
+        self._serial = next(Recorder._serials)
+        self._inputs = list(inputs)
+        self._steps: list[tuple] = []
+        self._consts: dict[int, object] = {}
+        self._n_slots = 1 + len(self._inputs)
+        self._split: int | None = None
+        self._seed_slot: int | None = None
+
+    def __enter__(self) -> "Recorder":
+        if _recorder() is not None:
+            raise GraphError("recorders do not nest")
+        _state.recorder = self
+        return self
+
+    def __exit__(self, *exc):
+        _state.recorder = None
+        return False
+
+    def _new_slot(self) -> int:
+        self._n_slots += 1
+        return self._n_slots - 1
+
+    def _slot(self, t: Tensor) -> int:
+        tag = getattr(t, "_slot", None)
+        if tag is not None and tag[0] == self._serial:
+            return tag[1]
+        idx = next((1 + i for i, arr in enumerate(self._inputs) if t.data is arr), None)
+        if idx is None:
+            idx = self._new_slot()
+            self._consts[idx] = t.data
+        t._slot = (self._serial, idx)
+        return idx
+
+    def step(self, kernel: Callable, inputs: Sequence[Tensor], out: Tensor | None) -> None:
+        ins = tuple(self._slot(t) for t in inputs)
+        slot = 0
+        if out is not None:
+            slot = self._new_slot()
+            out._slot = (self._serial, slot)
+        self._steps.append((kernel, ins, slot))
+
+    def split(self) -> None:
+        """Steps recorded from here on form the reverse part of the tape."""
+        self._split = len(self._steps)
+
+    def seed(self, t: Tensor) -> None:
+        """`grad` announces its seed; the first one after `split` becomes
+        the cotangent that `Tape.reverse` takes."""
+        if self._split is not None and self._seed_slot is None:
+            self._seed_slot = self._new_slot()
+            t._slot = (self._serial, self._seed_slot)
+
+    def finish(self, outputs: Sequence[Tensor], reverse_outputs: Sequence[Tensor] = ()) -> Tape:
+        outs = [self._slot(t) for t in outputs]
+        rev = [self._slot(t) for t in reverse_outputs]
+        keep = set(outs) | set(rev)
+        live = keep | {0}
+        kept = []
+        for position, (kernel, ins, out) in reversed(list(enumerate(self._steps))):
+            if out in live:
+                live.update(ins)
+                kept.append((position, kernel, ins, out))
+        kept.reverse()
+        split = len(self._steps) if self._split is None else self._split
+        n_forward = sum(1 for position, *_ in kept if position < split)
+
+        last_use = {}
+        for i, (_, _, ins, _) in enumerate(kept):
+            for slot in ins:
+                last_use[slot] = i
+        produced = {out for *_, out in kept} - keep - {0}
+        dead: list[list[int]] = [[] for _ in kept]
+        for slot, i in last_use.items():
+            if slot in produced:
+                dead[i].append(slot)
+        steps = [(kernel, ins, out, tuple(dead[i]))
+                 for i, (_, kernel, ins, out) in enumerate(kept)]
+
+        template: list = [None] * self._n_slots
+        for slot, value in self._consts.items():
+            template[slot] = value
+
+        def flagged(slots, tensors):
+            # an output that is or views a constant is copied on each replay
+            return [(slot, any(np.may_share_memory(t.data, c) for c in self._consts.values()))
+                    for slot, t in zip(slots, tensors)]
+
+        return Tape(template, len(self._inputs), steps, n_forward,
+                    flagged(outs, outputs), self._seed_slot, flagged(rev, reverse_outputs))

@@ -16,11 +16,11 @@ import numpy as np
 
 from .errors import ShapeError
 from .federation import ClientState, GlobalModel, aggregate
-from .models import ArchSpec, cross_entropy, forward
+from .models import ArchSpec
 from .seeds import make_rng
-from .tensor import ParamSet, Tensor, grad
+from .tensor import ParamSet, Tensor
 
-from .distill import sgd_step
+from .distill import loss_gradient, sgd_step
 
 log = logging.getLogger(__name__)
 
@@ -181,10 +181,18 @@ class UnlearnEngine:
     def eval_forget_classes(self, targets: list[dict]) -> set[int]:
         """Classes whose test samples count as the forget set: explicit class
         targets plus every class held by a target client."""
-        classes, client_ids = self.resolve_targets(targets)
+        return self._with_held_classes(*self.resolve_targets(targets))
+
+    def forgotten_eval_classes(self) -> set[int]:
+        """The forget set that is in force now: the forgotten classes plus
+        every class held by a client that is still forgotten."""
+        return self._with_held_classes(self.forgotten_classes, self.forgotten_clients)
+
+    def _with_held_classes(self, classes: set[int], client_ids: set[int]) -> set[int]:
+        out = set(classes)
         for j in client_ids:
-            classes.update(self.clients[j].held_classes())
-        return classes
+            out.update(self.clients[j].held_classes())
+        return out
 
     # ---- partition ----------------------------------------------------------
 
@@ -244,9 +252,8 @@ class UnlearnEngine:
         for start in range(0, xs.shape[0], self.pass_batch_size):
             xb = Tensor(np.ascontiguousarray(xs[start:start + self.pass_batch_size]))
             yb = ys[start:start + self.pass_batch_size]
-            loss = cross_entropy(forward(local, self.spec, xb), yb)
-            loss.check_finite(context)
-            sgd_step(local, grad(loss, local), lr, direction=direction)
+            sgd_step(local, loss_gradient(local, self.spec, xb, yb, context), lr,
+                     direction=direction)
         return local
 
     def sga_round(self, params: ParamSet, partition: ForgetPartition, lr: float) -> ParamSet:

@@ -2,9 +2,12 @@
 write, for three fixed configs.
 
     python tests/artifact_digest.py > digests.txt
+    python tests/artifact_digest.py --against digests.txt
 
-Run it in two checkouts and `diff` the outputs: equal lines mean both trees
-wrote the same bytes.  Hashed are every `.qdmd`, `.qdsy` and `report_*.json`,
+Run it in two checkouts and compare: equal lines mean both trees wrote the
+same bytes.  With `--against FILE` it prints only the lines that differ from
+FILE or are missing on either side (`-` from FILE, `+` from this run) and
+exits 1 if there are any.  Hashed are every `.qdmd`, `.qdsy` and `report_*.json`,
 and every CSV with its `wall_ms` column dropped (wall times differ from run
 to run).  The configs are `configs/blobs_small.json`, the convnet world of
 the benchmark's `fl_conv` workload at seed 1, and a 3-block convnet on
@@ -14,6 +17,7 @@ temporary directory.  pytest does not collect this file.
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -94,7 +98,8 @@ def _feddistill(args: list[str], out_dir: Path) -> None:
                    stdout=subprocess.DEVNULL)
 
 
-def main() -> int:
+def digests():
+    """Yield one `<sha256>  <case>/<step>/<file>` line per artifact."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, (config, requests) in CASES.items():
             case = Path(tmp) / name
@@ -109,7 +114,26 @@ def main() -> int:
                                             "--requests", str(requests_path)])):
                 _feddistill(args, out_dir)
                 for path in _artifacts(out_dir):
-                    print(f"{_digest(path)}  {name}/{step}/{path.name}", flush=True)
+                    yield f"{_digest(path)}  {name}/{step}/{path.name}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="print only the lines that differ from FILE; exit 1 if any")
+    args = parser.parse_args()
+    if args.against is None:
+        for line in digests():
+            print(line, flush=True)
+        return 0
+    expected = Path(args.against).read_text().splitlines()
+    got = list(digests())
+    diff = [f"-{line}" for line in expected if line not in got]
+    diff += [f"+{line}" for line in got if line not in expected]
+    if diff:
+        print("\n".join(diff))
+        return 1
+    print(f"all {len(got)} lines identical", file=sys.stderr)
     return 0
 
 

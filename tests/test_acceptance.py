@@ -20,7 +20,6 @@ from feddistill.distill import distill_standalone
 from feddistill.evaluate import (
     MIAConfig,
     accuracy_report,
-    fit_model,
     mia_attack,
     retrain_baseline,
     sga_or_baseline,
@@ -29,8 +28,9 @@ from feddistill.federation import aggregate as fed_aggregate
 from feddistill.federation import build_clients, train_federated
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
 from feddistill.seeds import derive_seed, make_rng
-from feddistill.tensor import GradSet, Tensor, finite_diff_check, grad, reshape, take_slice
+from feddistill.tensor import GradSet, Tensor, grad, reshape, take_slice
 from feddistill.unlearn import UnlearnEngine, UnlearningRequest
+from helpers import finite_diff_check, fit_model, per_class_accuracy
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -347,7 +347,7 @@ def test_c06_sequential_unlearning():
         cfg = DistillConfig(outer_steps=25, inner_steps=5, real_batch_per_class=64,
                             model_lr=0.2, seed=seed + 2)
         model, _, _ = train_federated(clients, spec, cfg, master_seed=seed + 2)
-        pre = accuracy_report(model.params, spec, test, set()).per_class_accuracy()
+        pre = per_class_accuracy(accuracy_report(model.params, spec, test, set()))
 
         engine = UnlearnEngine(clients, spec, master_seed=seed + 2, pass_batch_size=16)
         unlearned: list[int] = []
@@ -357,7 +357,7 @@ def test_c06_sequential_unlearning():
                 targets=[{"class": target}], unlearn_rounds=3, recovery_rounds=20,
                 sga_lr=0.1, recovery_lr=0.15, mix_per_class=10))
             unlearned.append(target)
-            acc = accuracy_report(model.params, spec, test, set(unlearned)).per_class_accuracy()
+            acc = per_class_accuracy(accuracy_report(model.params, spec, test, set(unlearned)))
             if any(acc[c] >= 0.05 for c in unlearned):
                 forgotten_ok = False
         kept = [c for c in range(5) if c not in unlearned]

@@ -206,6 +206,22 @@ def test_baselines_keep_a_class_that_was_relearned(tmp_path):
     assert stage["per_class_correct"][1] >= 0.9 * stage["per_class_total"][1]
 
 
+def test_relearning_a_client_keeps_the_classes_still_forgotten(tmp_path):
+    config = _config(tmp_path,
+                     dataset={"kind": "blobs", "classes": 4, "train_per_class": 60,
+                              "test_per_class": 30, "dim": [1, 2, 2], "separation": 10.0},
+                     clients=4, alpha=1.0,
+                     distill={"enabled": True, "rounds": 3, "local_steps": 2,
+                              "real_batch_per_class": 16, "scale_s": 20.0},
+                     unlearn={"requests": ["unlearn client=1", "batch class=0,class=3",
+                                           "relearn class=0", "relearn client=1"],
+                              "sga_lr": 0.1, "recovery_lr": 0.1, "mix_per_class": 3})
+    assert main(["run", str(config)]) == 0
+    for method in ("sga_original", "retrain_original"):
+        report = json.loads((tmp_path / "out" / f"report_{method}_seed7.json").read_text())
+        assert [s["forget_classes"] for s in report["stages"]] == [[3]] * len(report["stages"])
+
+
 def test_sga_original_scores_each_stage_on_its_own_model(tmp_path):
     from feddistill.checkpoint import load_model
     from feddistill.config import load_config

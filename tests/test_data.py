@@ -16,6 +16,7 @@ from feddistill.data import (
 )
 from feddistill.errors import DataFormatError
 from feddistill.seeds import make_rng
+from helpers import sample_shape
 
 
 def _write_idx(tmp_path, images: np.ndarray, labels: np.ndarray,
@@ -37,7 +38,7 @@ def test_load_idx_roundtrip(tmp_path):
     labels = rng.integers(0, 10, size=12, dtype=np.uint8)
     img, lbl = _write_idx(tmp_path, images, labels)
     ds = load_idx(img, lbl)
-    assert len(ds) == 12 and ds.sample_shape == (1, 5, 5)
+    assert len(ds) == 12 and sample_shape(ds) == (1, 5, 5)
     assert ds.samples.max() <= 1.0 and ds.samples.min() >= 0.0
     np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
     np.testing.assert_allclose(ds.samples[0, 0], images[0] / 255.0, rtol=1e-6)

@@ -14,7 +14,6 @@ from feddistill.evaluate import (
     MIAConfig,
     StageRecord,
     accuracy_report,
-    fit_model,
     mia_attack,
     per_sample_losses,
     retrain_baseline,
@@ -23,6 +22,7 @@ from feddistill.evaluate import (
 from feddistill.federation import build_clients, train_federated
 from feddistill.models import ArchSpec, InitDistribution, init_params
 from feddistill.tensor import Tensor
+from helpers import fit_model, per_class_accuracy
 
 SPEC = ArchSpec(kind="mlp", input_shape=(1, 2, 2), class_count=3, hidden=(8,))
 
@@ -48,7 +48,7 @@ def test_accuracy_recomposes_from_counts():
     train, test, clients = _blob_world()
     params = init_params(SPEC, InitDistribution(seed=1))
     rec = accuracy_report(params, SPEC, test, forget_classes={1})
-    weighted = sum(a * t for a, t in zip(rec.per_class_accuracy(), rec.per_class_total)
+    weighted = sum(a * t for a, t in zip(per_class_accuracy(rec), rec.per_class_total)
                    if t)
     assert abs(weighted / len(test) - rec.overall_accuracy()) < 1e-9
 
@@ -255,3 +255,68 @@ def test_synthetic_checkpoint_wrong_magic(tmp_path):
     with pytest.raises(DataFormatError, match="QDSY"):
         load_synthetic(path)
 
+
+
+def _failing_writes():
+    """(artifact name, good write, write that fails after writing some bytes)."""
+    from feddistill import checkpoint
+    from feddistill.federation import RoundRecord, write_round_csv
+
+    params = init_params(SPEC, InitDistribution(seed=1))
+
+    def save_model_failing(path, monkeypatch):
+        calls = []
+
+        def le_dtype(dtype):
+            calls.append(dtype)
+            if len(calls) == 2:
+                raise DataFormatError("injected")
+            return 4, np.dtype("<f4")
+
+        monkeypatch.setattr(checkpoint, "_le_dtype", le_dtype)
+        save_model(path, params, SPEC)
+
+    def syn_set():
+        rng = np.random.default_rng(0)
+        return init_synthetic(LabeledDataset(rng.random((4, 1, 2, 2), dtype=np.float32),
+                                             np.array([0, 0, 1, 1]), 3), s=2, seed=1)
+
+    def save_synthetic_failing(path, monkeypatch):
+        syn = syn_set()
+        syn.buckets[-1] = syn.buckets.pop(1)          # struct.pack rejects a negative class
+        save_synthetic(path, syn)
+
+    def report(rate):
+        rep = ExperimentReport(method="m", seed=1)
+        rep.stages.append(StageRecord(stage="train", per_class_correct=[1, 2, 3],
+                                      per_class_total=[3, 3, 3], mia_forget_rate=rate))
+        return rep
+
+    def rounds(weights):
+        return [RoundRecord(round=0, client_ids=[0], local_steps=[1], weights=[1.0],
+                            wall_ms=1.0, samples=4),
+                RoundRecord(round=1, client_ids=[0], local_steps=[1], weights=weights,
+                            wall_ms=1.0, samples=4)]
+
+    return [
+        ("model.qdmd", lambda path: save_model(path, params, SPEC), save_model_failing),
+        ("syn.qdsy", lambda path: save_synthetic(path, syn_set()), save_synthetic_failing),
+        ("report.json", lambda path: report(0.5).write_json(path),
+         lambda path, mp: report(object()).write_json(path)),
+        ("report.csv", lambda path: report(0.5).write_csv(path),
+         lambda path, mp: report("x").write_csv(path)),
+        ("rounds.csv", lambda path: write_round_csv(path, rounds([1.0])),
+         lambda path, mp: write_round_csv(path, rounds(["x"]))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_a_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch, case):
+    name, write, write_failing = _failing_writes()[case]
+    path = tmp_path / name
+    write(path)
+    before = path.read_bytes()
+    with pytest.raises(Exception):
+        write_failing(path, monkeypatch)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]

@@ -6,7 +6,8 @@ import pytest
 from feddistill.errors import ShapeError
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
 from feddistill.models import _avg_pool
-from feddistill.tensor import Tensor, asum, exp, finite_diff_check, grad, mean, mul, reshape
+from feddistill.tensor import Tensor, asum, exp, grad, mean, mul, reshape
+from helpers import finite_diff_check, total_size
 
 
 MLP = ArchSpec(kind="mlp", input_shape=(1, 1, 4), class_count=3, hidden=(8,))
@@ -29,7 +30,7 @@ def test_init_deterministic():
 
 def test_mlp_parameter_count():
     params = init_params(MLP, InitDistribution(seed=0))
-    assert params.total_size() == 4 * 8 + 8 + 8 * 3 + 3
+    assert total_size(params) == 4 * 8 + 8 + 8 * 3 + 3
 
 
 def test_convnet_head_dimension_appendix_template():

@@ -16,7 +16,6 @@ from feddistill.tensor import (
     div,
     exp,
     expand,
-    finite_diff_check,
     grad,
     hypergrad,
     im2col,
@@ -33,6 +32,7 @@ from feddistill.tensor import (
     transpose,
     window_sum,
 )
+from helpers import finite_diff_check
 
 
 def _rng(seed):
@@ -301,6 +301,19 @@ def test_expand_output_is_read_only():
     assert not y.data.flags.writeable
     with pytest.raises(ValueError):
         y.data[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("shape, target", [((1, 16), (64, 16)), ((2, 1, 3), (2, 5, 3)),
+                                           ((1, 4, 1, 1), (8, 4, 5, 5)), ((3, 1), (3, 1))])
+def test_expand_gives_the_broadcast_to_view(shape, target):
+    rng = _rng(0)
+    contiguous = rng.normal(size=shape)
+    strided = rng.normal(size=tuple(2 * s for s in shape))[tuple(slice(None, None, 2) for _ in shape)]
+    for x in (contiguous, strided):
+        want = np.broadcast_to(x, target)
+        got = expand(_leaf(x), target).data
+        assert got.strides == want.strides and np.array_equal(got, want)
+        assert not got.flags.writeable
 
 
 def test_reductions_and_products_ignore_views():
