@@ -32,17 +32,26 @@ _DTYPE_BY_WIDTH = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 @contextlib.contextmanager
 def atomic_write(path, mode: str = "wb", **open_kwargs):
     """Write `path` through a temporary file in the same directory that
-    replaces it in one step (`os.replace`) once the block succeeds.  On an
-    error the temporary file is removed and `path` keeps its old bytes."""
+    replaces it in one step (`os.replace`) once the block succeeds.  The
+    data and then the directory entry are synced to disk, so a crash leaves
+    either the old or the new bytes.  On an error the temporary file is
+    removed and `path` keeps its old bytes."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **open_kwargs) as f:
             yield f
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _le_dtype(dtype: np.dtype) -> tuple[int, np.dtype]:

@@ -162,7 +162,6 @@ def _serve_actions(engine: UnlearnEngine, model: GlobalModel, actions: list[Requ
                    pools=None) -> tuple[GlobalModel, set[int]]:
     """Apply the actions in order, appending one evaluated stage per stage run.
     Returns the final model and the classes that count as forgotten at the end."""
-    cumulative_eval: set[int] = set()
 
     def record(stage, current, cost, eval_classes):
         report.stages.append(_evaluate_stage(stage, current, test, eval_classes, cost=cost,
@@ -173,18 +172,16 @@ def _serve_actions(engine: UnlearnEngine, model: GlobalModel, actions: list[Requ
             relearn_classes = engine.eval_forget_classes(action.targets)
             model, cost = engine.relearn(model, action.targets, cfg.unlearn.relearn_rounds,
                                          lr=cfg.unlearn.recovery_lr)
-            # the F-set in force: a relearned client's classes that are still
-            # forgotten as class targets stay in it
-            cumulative_eval = engine.forgotten_eval_classes()
             # the relearned classes are the F-Set this stage reports on
             record("relearn", model, cost, relearn_classes)
             continue
-        cumulative_eval |= engine.eval_forget_classes(action.targets)
-        eval_now = set(cumulative_eval)
+        # the F-set in force, from the engine: a relearned client's classes
+        # that are still forgotten as class targets stay in it
+        eval_now = engine.forgotten_eval_classes() | engine.eval_forget_classes(action.targets)
         model, _ = engine.execute_request(
             model, _request_from(action, cfg),
             stage_callback=lambda stage, current, cost: record(stage, current, cost, eval_now))
-    return model, cumulative_eval
+    return model, engine.forgotten_eval_classes()
 
 
 def run_experiment(config_path) -> RunArtifacts:

@@ -303,19 +303,6 @@ def test_expand_output_is_read_only():
         y.data[0, 0] = 5.0
 
 
-@pytest.mark.parametrize("shape, target", [((1, 16), (64, 16)), ((2, 1, 3), (2, 5, 3)),
-                                           ((1, 4, 1, 1), (8, 4, 5, 5)), ((3, 1), (3, 1))])
-def test_expand_gives_the_broadcast_to_view(shape, target):
-    rng = _rng(0)
-    contiguous = rng.normal(size=shape)
-    strided = rng.normal(size=tuple(2 * s for s in shape))[tuple(slice(None, None, 2) for _ in shape)]
-    for x in (contiguous, strided):
-        want = np.broadcast_to(x, target)
-        got = expand(_leaf(x), target).data
-        assert got.strides == want.strides and np.array_equal(got, want)
-        assert not got.flags.writeable
-
-
 def test_reductions_and_products_ignore_views():
     # numpy orders the additions of a reduction over a broadcast view
     # differently from the contiguous copy; the ops must not
