@@ -60,9 +60,7 @@ def main(argv=None) -> int:
 
             problems = validate_config(args.config)
             if problems:
-                for p in problems:
-                    print(f"invalid: {p}", file=sys.stderr)
-                return EXIT_VALIDATION
+                raise ConfigError(problems)
             print("ok")
             return EXIT_OK
 

@@ -65,26 +65,33 @@ def _read_exact(f, count: int, path: str, what: str) -> bytes:
     return buf
 
 
+def _idx_header(f, path: str, magic: int, sizes: int) -> tuple[int, ...]:
+    """The `sizes` dimension sizes after a checked IDX magic number."""
+    found, *dims = struct.unpack(f">{1 + sizes}I", _read_exact(f, 4 + 4 * sizes, path, "header"))
+    if found != magic:
+        raise DataFormatError(
+            f"{path}: bad magic 0x{found:08x} at offset 0 (expected 0x{magic:08x})")
+    return tuple(dims)
+
+
+def idx_image_size(path) -> tuple[int, int]:
+    """(rows, cols) from the 16-byte header of an IDX image file."""
+    with open(path, "rb") as f:
+        return _idx_header(f, str(path), IDX_IMAGES_MAGIC, 3)[1:]
+
+
 def load_idx(images_path, labels_path, expected_classes: int = 10,
              source: str = "idx") -> LabeledDataset:
     """Load big-endian IDX image/label pairs; pixels scaled to [0, 1]."""
     images_path, labels_path = str(images_path), str(labels_path)
     with open(images_path, "rb") as f:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path, "header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: bad magic 0x{magic:08x} at offset 0 "
-                f"(expected 0x{IDX_IMAGES_MAGIC:08x})")
+        n, rows, cols = _idx_header(f, images_path, IDX_IMAGES_MAGIC, 3)
         raw = _read_exact(f, n * rows * cols, images_path, f"{n} images of {rows}x{cols}")
         extra = f.read(1)
         if extra:
             raise DataFormatError(f"{images_path}: trailing bytes after {n} images")
     with open(labels_path, "rb") as f:
-        magic, n_labels = struct.unpack(">II", _read_exact(f, 8, labels_path, "header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: bad magic 0x{magic:08x} at offset 0 "
-                f"(expected 0x{IDX_LABELS_MAGIC:08x})")
+        (n_labels,) = _idx_header(f, labels_path, IDX_LABELS_MAGIC, 1)
         raw_labels = _read_exact(f, n_labels, labels_path, f"{n_labels} labels")
     if n != n_labels:
         raise DataFormatError(f"{n} images but {n_labels} labels")

@@ -64,18 +64,6 @@ class DistillConfig:
     real_batch_per_class: int = 256
     seed: int = 0
 
-    def problems(self, prefix: str = "distill") -> list[str]:
-        errs = []
-        for name in ("outer_steps", "inner_steps", "syn_steps"):
-            if getattr(self, name) < 0:
-                errs.append(f"{prefix}.{name}: must be >= 0")
-        for name in ("syn_lr", "model_lr"):
-            if getattr(self, name) < 0:
-                errs.append(f"{prefix}.{name}: must be >= 0")
-        if self.real_batch_per_class < 1:
-            errs.append(f"{prefix}.real_batch_per_class: must be >= 1")
-        return errs
-
 
 class SyntheticDataset:
     """Per-class trainable synthetic samples plus their matching counters.
@@ -291,11 +279,15 @@ def match_step(params: ParamSet, spec: ArchSpec,
 def _match_gradient(params: ParamSet, spec: ArchSpec, g_real: GradSet, bucket: Tensor,
                     label: int) -> Tensor:
     """hypergrad of grad_distance(g_real, class gradient of the bucket) w.r.t.
-    the bucket.  Recorded once per key into `spec.tapes`; on a replay,
+    the bucket.  Recorded once per key into `spec.tapes`, with the labels as
+    an input, so one tape serves every class of a bucket shape; on a replay,
     `hypergrad` receives a one-node graph (distance <- bucket) whose VJP
     replays the recorded reverse steps."""
+    labels = np.full(bucket.shape[0], label, dtype=np.int64)
+    context = f"class {label} gradient"
+
     def interpret(rec=None):
-        g_syn = class_gradient(params, spec, bucket, label, create_graph=True)
+        g_syn = loss_gradient(params, spec, bucket, labels, context, create_graph=True)
         distance = grad_distance(g_real, g_syn)
         if rec is not None:
             rec.split()
@@ -303,15 +295,17 @@ def _match_gradient(params: ParamSet, spec: ArchSpec, g_real: GradSet, bucket: T
 
     if _recorder() is not None:
         return interpret()[1]
-    inputs = [t.data for t in params.tensors()] + [g.data for g in g_real.grads] + [bucket.data]
-    key = _tape_key(("match", label), params, inputs[len(params):])
+    inputs = ([t.data for t in params.tensors()] + [g.data for g in g_real.grads]
+              + [bucket.data, labels])
+    key = _tape_key("match", params, inputs[len(params):])
     tape = spec.tapes.get(key)
     if tape is None:
         with Recorder(inputs) as rec:
             distance, pixel_grad = interpret(rec)
         spec.tapes[key] = rec.finish([distance], [pixel_grad])
         return pixel_grad
-    (dist,), slots = tape.run(inputs, f"class {label} gradient")
+    check_labels(labels, (bucket.shape[0], spec.class_count))
+    (dist,), slots = tape.run(inputs, context)
 
     def vjp(g):
         return (Tensor(tape.reverse(slots, g.data)[0]),)
@@ -354,8 +348,6 @@ def distill_standalone(data: LabeledDataset, spec: ArchSpec, cfg: DistillConfig,
     `cfg.inner_steps` steps on the synthetic loss while matching gradients
     class-wise along the way.  Deterministic per cfg.seed.
     """
-    for p in cfg.problems():
-        raise ShapeError(p)
     if syn is None:
         syn = init_synthetic(data, s, derive_seed(cfg.seed, "standalone-syn"), dtype=dtype)
     return _distill_loops(syn, data, spec, cfg, cfg.outer_steps, "standalone", dtype)

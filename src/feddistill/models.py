@@ -61,7 +61,8 @@ class ArchSpec:
         errs = []
         if self.kind not in ("convnet", "mlp"):
             errs.append(f"arch.kind: unknown kind {self.kind!r}")
-        if len(self.input_shape) != 3 or any(v < 1 for v in self.input_shape):
+        shape_ok = len(self.input_shape) == 3 and min(self.input_shape) >= 1
+        if not shape_ok:
             errs.append(f"arch.input_shape: expected positive (C,H,W), got {self.input_shape}")
         if self.class_count < 2:
             errs.append("arch.class_count: need at least 2 classes")
@@ -72,12 +73,18 @@ class ArchSpec:
                 errs.append("arch.filters: must be >= 1")
             if self.norm not in ("instance", "none"):
                 errs.append(f"arch.norm: unknown norm {self.norm!r}")
-            _, h, w = self.input_shape
-            factor = self.pool ** self.blocks
-            if h % factor or w % factor:
-                errs.append(
-                    f"arch: {h}x{w} input not divisible by pool^blocks={factor}; "
-                    f"reduce blocks (e.g. blocks={int(math.log2(math.gcd(h, factor)))})")
+            if self.pool < 1:
+                errs.append(f"arch.pool: must be >= 1, got {self.pool}")
+            elif shape_ok and self.pool > 1:
+                # the most blocks whose pooling divides the input evenly
+                _, h, w = self.input_shape
+                g, fit = math.gcd(h, w), 0
+                while fit < self.blocks and g % self.pool == 0:
+                    g, fit = g // self.pool, fit + 1
+                if fit < self.blocks:
+                    errs.append(
+                        f"arch: {h}x{w} input not divisible by pool^blocks="
+                        f"{self.pool}^{self.blocks}; reduce blocks (e.g. blocks={fit})")
         if self.kind == "mlp" and any(h < 1 for h in self.hidden):
             errs.append("arch.hidden: sizes must be positive")
         return errs
@@ -104,19 +111,6 @@ class ArchSpec:
             "pool": self.pool,
             "hidden": list(self.hidden),
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ArchSpec":
-        return ArchSpec(
-            kind=d["kind"],
-            input_shape=tuple(d["input_shape"]),
-            class_count=int(d["class_count"]),
-            blocks=int(d.get("blocks", 3)),
-            filters=int(d.get("filters", 128)),
-            norm=d.get("norm", "instance"),
-            pool=int(d.get("pool", 2)),
-            hidden=tuple(d.get("hidden", (64,))),
-        )
 
     def digest(self) -> bytes:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

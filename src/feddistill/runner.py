@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_model, load_synthetic, save_model, save_synthetic
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, read_text
 from .data import LabeledDataset, dirichlet_partition, load_idx, synth_blobs
 from .distill import fine_tune
 from .errors import ConfigError, DataFormatError
@@ -314,7 +314,7 @@ def run_unlearn_only(config_path, requests_path) -> RunArtifacts:
     model_path = out / "model.qdmd"
     if not model_path.exists():
         raise DataFormatError(f"{model_path}: missing; run the `run` stage first")
-    actions = parse_request_file(Path(requests_path).read_text())
+    actions = parse_request_file(read_text(requests_path))
 
     test, clients = _build_world(cfg, distill_enabled=False)
     for client in clients:

@@ -77,7 +77,11 @@ def parse_request_line(line: str) -> RequestAction | None:
         key = key.strip()
         if key not in ("class", "client"):
             raise ShapeError(f"unknown target kind {key!r} in request line {line.rstrip()!r}")
-        targets.append({key: int(value)})
+        try:
+            targets.append({key: int(value)})
+        except ValueError:
+            raise ShapeError(f"bad {key} id {value.strip()!r} in request line "
+                             f"{line.rstrip()!r}") from None
     if kind == "unlearn" and len(targets) != 1:
         raise ShapeError("`unlearn` takes a single target; use `batch` for several")
     return RequestAction(kind=kind, targets=targets)

@@ -284,3 +284,81 @@ def test_corrupt_checkpoints_exit_4(served_run, tmp_path, monkeypatch, capsys, n
     assert main(["unlearn", str(served_run[1]), "--requests", str(reqs)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and message in err and "Traceback" not in err
+
+
+CONVNET = {"kind": "convnet", "blocks": 1, "filters": 4}
+
+
+def _idx_dataset(tmp_path: Path, image_magic: int = 0x803) -> dict:
+    """A 16x16 IDX dataset of 8 images in two classes, used for train and test."""
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", image_magic, 8, 16, 16) + bytes(8 * 16 * 16))
+    labels.write_bytes(struct.pack(">II", 0x801, 8) + bytes([0, 1] * 4))
+    return {"kind": "idx", "train_images": str(images), "train_labels": str(labels),
+            "test_images": str(images), "test_labels": str(labels)}
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"seed": "abc"}, 'seed: expected integer, got "abc"'),
+    ({"seed": 1.5}, "seed: expected integer, got 1.5"),
+    ({"dataset": []}, "dataset: expected an object, got []"),
+    ({"clients": None}, "clients: expected integer, got null"),
+    ({"clients": True}, "clients: expected integer, got true"),
+    ({"alpha": "x"}, 'alpha: must be a positive number or "inf", got "x"'),
+    ({"alpha": None}, 'alpha: expected number or "inf", got null'),
+    ({"arch": {"kind": "mlp", "hidden": "ab"}}, "arch.hidden: expected list of integers"),
+    ({"arch": dict(CONVNET, pool=0)}, "arch.pool: must be >= 1, got 0"),
+    ({"arch": dict(CONVNET, pool=-1)}, "arch.pool: must be >= 1, got -1"),
+    ({"arch": {"kind": "mlp", "class_count": 2}}, "arch.class_count: 2 is below dataset.classes 3"),
+    ({"distill": {"local_step": 1}}, "distill.local_step: unknown key"),
+    ({"distill": {"rounds": 2.7}}, "distill.rounds: expected integer, got 2.7"),
+    ({"baselines": {"retrain": "no"}}, 'baselines.retrain: expected boolean, got "no"'),
+    ({"dataset": {"dim": [1, 2, 2.5]}}, "dataset.dim: expected list of integers"),
+    ({"colour": "red"}, "colour: unknown key"),
+    (b"[1, 2]", "(top level): expected an object, got [1, 2]"),
+    (b"[" * 100_000, "config is not valid JSON: maximum recursion depth exceeded"),
+    (b'{"seed": 1, "output_dir": "\xff"}', "config.json: not UTF-8 text (byte 27)"),
+], ids=["seed-str", "seed-float", "dataset-list", "clients-null", "clients-bool", "alpha-str",
+        "alpha-null", "hidden-str", "pool-0", "pool-negative", "class-count-low", "key-typo",
+        "rounds-float", "bool-str", "dim-float", "unknown-top-key", "top-level-list", "deep-json",
+        "not-utf8"])
+def test_malformed_configs_exit_2(tmp_path, capsys, content, message):
+    if isinstance(content, bytes):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+    else:
+        path = _config(tmp_path, **content)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("request_bytes, message", [
+    (b"unlearn class=abc\n", "bad class id 'abc' in request line 'unlearn class=abc'"),
+    (b"unlearn class=\n", "bad class id '' in request line 'unlearn class='"),
+    (b"unlearn client=1.5\n", "bad client id '1.5' in request line 'unlearn client=1.5'"),
+    (b"unlearn class=1 \xff\n", "reqs.txt: not UTF-8 text (byte 16)"),
+], ids=["id-str", "id-empty", "id-float", "not-utf8"])
+def test_malformed_request_files_exit_2(served_run, tmp_path, capsys, request_bytes, message):
+    reqs = tmp_path / "reqs.txt"
+    reqs.write_bytes(request_bytes)
+    capsys.readouterr()
+    assert main(["unlearn", str(served_run[1]), "--requests", str(reqs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and message in err and "Traceback" not in err
+
+
+def test_idx_input_shape_comes_from_the_header(tmp_path, capsys):
+    from feddistill.config import load_config
+
+    path = _config(tmp_path, dataset=_idx_dataset(tmp_path), unlearn={})
+    assert main(["validate", str(path)]) == 0
+    cfg = load_config(path)
+    assert cfg.arch.input_shape == (1, 16, 16) and cfg.arch.class_count == 10
+
+
+def test_idx_header_with_a_bad_magic_exits_4(tmp_path, capsys):
+    path = _config(tmp_path, dataset=_idx_dataset(tmp_path, image_magic=0x1234), unlearn={})
+    assert main(["validate", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "images.idx: bad magic 0x00001234" in err

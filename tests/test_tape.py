@@ -116,7 +116,7 @@ def test_match_replay_equals_the_interpreter(name, dtype):
         (reference,) = hypergrad(grad_distance(g_real, g_syn), [bucket])
         assert taped.data.dtype == reference.data.dtype
         assert taped.data.tobytes() == reference.data.tobytes()
-    tapes = [t for key, t in spec.tapes.items() if key[0] == ("match", label)]
+    tapes = [t for key, t in spec.tapes.items() if key[0] == "match"]
     assert len(tapes) == 1 and tapes[0].replays == 1
 
 
@@ -221,3 +221,18 @@ def test_each_spec_instance_has_its_own_tapes():
     assert equal == spec and hash(equal) == hash(spec)
     assert len(spec.tapes) == 1 and not equal.tapes
     assert not dataclasses.replace(spec).tapes
+
+
+def test_one_match_tape_serves_every_class():
+    spec, params, batches = _world("mlp", np.float64, seed=5)
+    rng = np.random.default_rng(13)
+    for label in range(spec.class_count):
+        g_real = class_gradient(params[0], spec, batches[0], label)
+        bucket = Tensor(rng.normal(size=(2,) + spec.input_shape), requires_grad=True,
+                        dtype=np.float64)
+        taped = _match_gradient(params[0], spec, g_real, bucket, label)
+        g_syn = class_gradient(params[0], spec, bucket, label, create_graph=True)
+        (reference,) = hypergrad(grad_distance(g_real, g_syn), [bucket])
+        assert taped.data.tobytes() == reference.data.tobytes()
+    tapes = [t for key, t in spec.tapes.items() if key[0] == "match"]
+    assert len(tapes) == 1 and tapes[0].replays == spec.class_count - 1
