@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import idx_image_size
+from .data import idx_image_size, idx_labels
 from .distill import DistillConfig
 from .errors import ConfigError, ShapeError
 from .models import ArchSpec
@@ -169,6 +169,13 @@ class ExperimentConfig(types.SimpleNamespace):
         if self.dataset.kind == "blobs" and self.arch.class_count < self.dataset.classes:
             errs.append(f"arch.class_count: {self.arch.class_count} is below "
                         f"dataset.classes {self.dataset.classes}")
+        if self.dataset.kind == "idx":
+            for name in ("train_labels", "test_labels"):
+                path = getattr(self.dataset, name)
+                top = int(idx_labels(path).max(initial=0))
+                if self.arch.class_count <= top:
+                    errs.append(f"arch.class_count: {self.arch.class_count} is at or below "
+                                f"label {top} in dataset.{name} ({path})")
         limits = {"class": self.arch.class_count, "client": self.clients}
         for i, line in enumerate(self.unlearn.requests):
             try:

@@ -80,6 +80,14 @@ def idx_image_size(path) -> tuple[int, int]:
         return _idx_header(f, str(path), IDX_IMAGES_MAGIC, 3)[1:]
 
 
+def idx_labels(path) -> np.ndarray:
+    """The labels of an IDX label file, as int64."""
+    with open(path, "rb") as f:
+        (n,) = _idx_header(f, str(path), IDX_LABELS_MAGIC, 1)
+        raw = _read_exact(f, n, str(path), f"{n} labels")
+    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+
+
 def load_idx(images_path, labels_path, expected_classes: int = 10,
              source: str = "idx") -> LabeledDataset:
     """Load big-endian IDX image/label pairs; pixels scaled to [0, 1]."""
@@ -90,12 +98,9 @@ def load_idx(images_path, labels_path, expected_classes: int = 10,
         extra = f.read(1)
         if extra:
             raise DataFormatError(f"{images_path}: trailing bytes after {n} images")
-    with open(labels_path, "rb") as f:
-        (n_labels,) = _idx_header(f, labels_path, IDX_LABELS_MAGIC, 1)
-        raw_labels = _read_exact(f, n_labels, labels_path, f"{n_labels} labels")
-    if n != n_labels:
-        raise DataFormatError(f"{n} images but {n_labels} labels")
-    labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
+    labels = idx_labels(labels_path)
+    if n != labels.size:
+        raise DataFormatError(f"{n} images but {labels.size} labels")
     if labels.size and labels.max() >= expected_classes:
         raise DataFormatError(
             f"{labels_path}: label value {int(labels.max())} >= class count {expected_classes}")

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import ClassBatchSampler, LabeledDataset, class_index
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 from .models import ArchSpec, InitDistribution, check_labels, cross_entropy, forward, init_params
 from .seeds import derive_seed, make_rng
 from .tensor import (
@@ -38,7 +38,6 @@ from .tensor import (
     _recorder,
     _recording,
     asum,
-    concat,
     constant,
     div,
     grad,
@@ -91,12 +90,12 @@ class SyntheticDataset:
             return sum(t.shape[0] for t in self.buckets.values())
         return sum(self.buckets[c].shape[0] for c in classes if c in self.buckets)
 
-    def union(self, classes=None) -> tuple[Tensor, np.ndarray]:
-        """Concatenated samples and labels for the given classes (all if None)."""
+    def union(self, classes=None) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated pixels and labels for the given classes (all if None)."""
         keys = [c for c in self.buckets if classes is None or c in set(classes)]
         if not keys:
             raise ShapeError("no synthetic buckets for the requested classes")
-        xs = concat([self.buckets[c] for c in keys], axis=0)
+        xs = np.concatenate([self.buckets[c].data for c in keys])
         ys = np.concatenate([np.full(self.buckets[c].shape[0], c, dtype=np.int64) for c in keys])
         return xs, ys
 
@@ -332,10 +331,9 @@ def _distill_loops(syn: SyntheticDataset, data: LabeledDataset, spec: ArchSpec,
             match_step(params, spec, batches, syn, cfg)
             syn.real_grad_steps += len(batches)
             xs, ys = syn.union()
-            loss = cross_entropy(forward(params, spec, xs), ys)
-            if not np.isfinite(loss.data).all():
-                raise NumericError(f"non-finite synthetic loss during {seed_tag} round {k}")
-            sgd_step(params, grad(loss, params), cfg.model_lr)
+            sgd_step(params, loss_gradient(params, spec, Tensor(xs), ys,
+                                           f"synthetic loss during {seed_tag} round {k}"),
+                     cfg.model_lr)
     return syn
 
 

@@ -16,7 +16,7 @@ from .federation import ClientState, GlobalModel, RoundRecord, train_federated
 from .models import ArchSpec, forward, predict
 from .seeds import make_rng
 from .tensor import ParamSet, Tensor, no_grad
-from .unlearn import ClientSplit, ForgetPartition, StageCost, UnlearnEngine
+from .unlearn import ForgetPartition, StageCost, UnlearnEngine, _split_buckets
 
 
 @dataclass
@@ -238,22 +238,15 @@ def original_data_partition(clients: list[ClientState], forget_classes: set[int]
                             forget_clients: set[int], dtype=np.float32) -> ForgetPartition:
     """Forget/keep split over the clients' original samples (not distilled),
     shaped like the distilled partition so the same round machinery applies."""
-    splits: dict[int, ClientSplit] = {}
+    buckets = {}
     for client in clients:
-        if len(client.data) == 0:
-            continue
-        by_class = {}
-        for c in client.held_classes():
-            rows = client.data.samples[client.data.labels == c]
-            by_class[c] = Tensor(rows.astype(np.dtype(dtype), copy=False), requires_grad=True)
-        if client.cid in forget_clients:
-            splits[client.cid] = ClientSplit(forget=by_class, keep={})
-            continue
-        forget = {c: t for c, t in by_class.items() if c in forget_classes}
-        keep = {c: t for c, t in by_class.items() if c not in forget_classes}
-        splits[client.cid] = ClientSplit(forget=forget, keep=keep)
-    return ForgetPartition(splits=splits, forget_classes=set(forget_classes),
-                           forget_clients=set(forget_clients))
+        if len(client.data):
+            data = client.data
+            buckets[client.cid] = {
+                c: Tensor(data.samples[data.labels == c].astype(np.dtype(dtype), copy=False),
+                          requires_grad=True)
+                for c in client.held_classes()}
+    return _split_buckets(buckets, forget_classes, forget_clients, forget_classes)
 
 
 def sga_or_baseline(model: GlobalModel, clients: list[ClientState],

@@ -43,7 +43,7 @@ log = logging.getLogger(__name__)
 class RunArtifacts:
     output_dir: Path
     reports: dict[str, ExperimentReport] = field(default_factory=dict)
-    paths: list[Path] = field(default_factory=list)
+    paths: list[Path] = field(default_factory=list)    # only run_distill_only fills it
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
@@ -59,8 +59,9 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
         train = total.subset(np.array(train_idx), source="blobs/train")
         test = total.subset(np.array(test_idx), source="blobs/test")
         return train, test
-    train = load_idx(ds.train_images, ds.train_labels, source="idx/train")
-    test = load_idx(ds.test_images, ds.test_labels, source="idx/test")
+    classes = cfg.arch.class_count
+    train = load_idx(ds.train_images, ds.train_labels, classes, source="idx/train")
+    test = load_idx(ds.test_images, ds.test_labels, classes, source="idx/test")
     if ds.subset_per_class:
         def trim(d: LabeledDataset, tag: str) -> LabeledDataset:
             keep = []
@@ -232,18 +233,13 @@ def run_experiment(config_path) -> RunArtifacts:
                                              cost=ft_cost))
 
     save_model(out / "model.qdmd", model.params, cfg.arch)
-    artifacts.paths.append(out / "model.qdmd")
     for client in clients:
         if client.syn is not None:
-            path = out / f"synthetic_client{client.cid}.qdsy"
-            save_synthetic(path, client.syn)
-            artifacts.paths.append(path)
+            save_synthetic(out / f"synthetic_client{client.cid}.qdsy", client.syn)
     write_round_csv(out / "rounds.csv", records)
-    artifacts.paths.append(out / "rounds.csv")
 
     model, eval_classes = _serve_actions(engine, model, actions, cfg, test, report, pools)
     save_model(out / "model_final.qdmd", model.params, cfg.arch)
-    artifacts.paths.append(out / "model_final.qdmd")
     artifacts.reports["distilled"] = report
 
     # the baselines forget what is still forgotten after every action, relearns included
@@ -276,11 +272,8 @@ def run_experiment(config_path) -> RunArtifacts:
         artifacts.reports["sga_original"] = sga_report
 
     for method, rep in artifacts.reports.items():
-        json_path = out / f"report_{method}_seed{cfg.seed}.json"
-        csv_path = out / f"report_{method}_seed{cfg.seed}.csv"
-        rep.write_json(json_path)
-        rep.write_csv(csv_path)
-        artifacts.paths.extend([json_path, csv_path])
+        rep.write_json(out / f"report_{method}_seed{cfg.seed}.json")
+        rep.write_csv(out / f"report_{method}_seed{cfg.seed}.csv")
     return artifacts
 
 
@@ -329,13 +322,9 @@ def run_unlearn_only(config_path, requests_path) -> RunArtifacts:
     model, _ = _serve_actions(engine, model, actions, cfg, test, report)
 
     save_model(out / "model_final.qdmd", model.params, cfg.arch)
-    json_path = out / f"report_distilled_unlearn_seed{cfg.seed}.json"
-    report.write_json(json_path)
+    report.write_json(out / f"report_distilled_unlearn_seed{cfg.seed}.json")
     report.write_csv(out / f"report_distilled_unlearn_seed{cfg.seed}.csv")
-    artifacts = RunArtifacts(output_dir=out)
-    artifacts.reports["distilled_unlearn"] = report
-    artifacts.paths.extend([out / "model_final.qdmd", json_path])
-    return artifacts
+    return RunArtifacts(output_dir=out, reports={"distilled_unlearn": report})
 
 
 def summarize_reports(directory) -> str:

@@ -89,16 +89,6 @@ class Tensor:
         self._vjp: Callable | None = None
         self._detached_src = False
 
-    # ---- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, dtype=None, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype or DEFAULT_DTYPE), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, dtype=None, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=dtype or DEFAULT_DTYPE), requires_grad=requires_grad)
-
     # ---- inspection -----------------------------------------------------------
 
     @property
@@ -122,9 +112,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = self.data
@@ -136,9 +123,6 @@ class Tensor:
         if slot is not None:
             out._slot = slot
         return out
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def check_finite(self, context: str = "") -> "Tensor":
         rec = _recorder()
@@ -195,15 +179,6 @@ class Tensor:
 
     def sum(self, axes=None, keepdims: bool = False) -> "Tensor":
         return asum(self, axes=axes, keepdims=keepdims)
-
-    def mean(self, axes=None, keepdims: bool = False) -> "Tensor":
-        return mean(self, axes=axes, keepdims=keepdims)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes=None) -> "Tensor":
-        return transpose(self, axes=axes)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable | None) -> Tensor:
@@ -631,9 +606,6 @@ class GradSet:
     def __iter__(self):
         return iter(zip(self.names, self.grads, self.roles))
 
-    def detach(self) -> "GradSet":
-        return GradSet([g.detach() for g in self.grads], self.names, self.roles)
-
     def check_congruent(self, params: ParamSet) -> None:
         if self.names != params.names:
             raise ShapeError("GradSet does not match ParamSet entry names")
@@ -665,18 +637,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             if id(p) not in seen:
                 stack.append((p, False))
     return order
-
-
-def _ancestor_ids(root: Tensor) -> set[int]:
-    seen: set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-    return seen
 
 
 def grad(loss: Tensor, wrt, create_graph: bool = False):
@@ -749,7 +709,7 @@ def hypergrad(match_loss: Tensor, wrt_inputs: Sequence[Tensor]) -> list[Tensor]:
             raise GraphError("hypergrad inputs must require grad")
     if match_loss.data.size != 1:
         raise GraphError(f"hypergrad target must be scalar, got shape {match_loss.shape}")
-    ancestors = _ancestor_ids(match_loss)
+    ancestors = {id(node) for node in _topo_order(match_loss)}
     if not any(id(t) in ancestors for t in wrt_list):
         if match_loss._detached_src:
             raise GraphError(

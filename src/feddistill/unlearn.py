@@ -134,6 +134,22 @@ class StageCost:
     wall_ms: float
 
 
+def _split_buckets(buckets_by_client: dict[int, dict[int, Tensor]], classes: set[int],
+                   client_ids: set[int], excluded: set[int]) -> ForgetPartition:
+    """The one forget/keep rule: a client in `client_ids` forgets every bucket;
+    any other client forgets the buckets of `classes` and keeps those outside
+    `excluded`."""
+    splits = {}
+    for cid, buckets in buckets_by_client.items():
+        if cid in client_ids:
+            splits[cid] = ClientSplit(forget=dict(buckets), keep={})
+        else:
+            splits[cid] = ClientSplit(forget={c: t for c, t in buckets.items() if c in classes},
+                                      keep={c: t for c, t in buckets.items() if c not in excluded})
+    return ForgetPartition(splits=splits, forget_classes=set(classes),
+                           forget_clients=set(client_ids))
+
+
 class UnlearnEngine:
     """Executes unlearning requests against a trained model and the clients'
     retained synthetic sets.  Remembers what has been forgotten so later
@@ -204,36 +220,28 @@ class UnlearnEngine:
                                mix_per_class: int) -> ForgetPartition:
         """Split every client's synthetic set into forget and keep sides and
         draw the per-class original mix-ins for recovery."""
-        splits: dict[int, ClientSplit] = {}
-        excluded = self.forgotten_classes | classes
-        for cid in sorted(self.clients):
-            client = self.clients[cid]
-            if client.syn is None or cid in self.forgotten_clients:
+        buckets = {cid: client.syn.buckets for cid, client in sorted(self.clients.items())
+                   if client.syn is not None and cid not in self.forgotten_clients}
+        partition = _split_buckets(buckets, classes, client_ids, self.forgotten_classes | classes)
+        for cid, split in partition.splits.items():
+            if mix_per_class <= 0 or not split.keep:
                 continue
-            if cid in client_ids:
-                splits[cid] = ClientSplit(forget=dict(client.syn.buckets), keep={})
-                continue
-            forget = {c: t for c, t in client.syn.buckets.items() if c in classes}
-            keep = {c: t for c, t in client.syn.buckets.items() if c not in excluded}
-            mix_x = mix_y = None
-            if mix_per_class > 0 and keep:
-                rng = make_rng(self.master_seed, "mix", self._request_index, cid)
-                xs, ys = [], []
-                for c in sorted(keep):
-                    pool = np.nonzero(client.data.labels == c)[0]
-                    if len(pool) == 0:
-                        continue
-                    take = min(mix_per_class, len(pool))
-                    chosen = rng.choice(pool, size=take, replace=False)
-                    chosen.sort()
-                    xs.append(client.data.samples[chosen])
-                    ys.append(np.full(take, c, dtype=np.int64))
-                if xs:
-                    mix_x = np.concatenate(xs)
-                    mix_y = np.concatenate(ys)
-            splits[cid] = ClientSplit(forget=forget, keep=keep, mix_x=mix_x, mix_y=mix_y)
-        return ForgetPartition(splits=splits, forget_classes=set(classes),
-                               forget_clients=set(client_ids))
+            data = self.clients[cid].data
+            rng = make_rng(self.master_seed, "mix", self._request_index, cid)
+            xs, ys = [], []
+            for c in sorted(split.keep):
+                pool = np.nonzero(data.labels == c)[0]
+                if len(pool) == 0:
+                    continue
+                take = min(mix_per_class, len(pool))
+                chosen = rng.choice(pool, size=take, replace=False)
+                chosen.sort()
+                xs.append(data.samples[chosen])
+                ys.append(np.full(take, c, dtype=np.int64))
+            if xs:
+                split.mix_x = np.concatenate(xs)
+                split.mix_y = np.concatenate(ys)
+        return partition
 
     # ---- rounds --------------------------------------------------------------
 
@@ -294,6 +302,17 @@ class UnlearnEngine:
 
     # ---- request execution ------------------------------------------------------
 
+    @staticmethod
+    def _stage(stage: str, model: GlobalModel, partition: ForgetPartition, rounds: int,
+               round_fn, lr: float, size: int) -> tuple[GlobalModel, StageCost]:
+        """`rounds` rounds of `round_fn` over the partition; only they are timed."""
+        params = model.params
+        start = time.monotonic()
+        for _ in range(rounds):
+            params = round_fn(params, partition, lr)
+        cost = StageCost(stage, rounds, rounds * size, (time.monotonic() - start) * 1e3)
+        return GlobalModel(params=params, spec=model.spec, round=model.round), cost
+
     def run_stages(self, model: GlobalModel, partition: ForgetPartition, unlearn_rounds: int,
                    recovery_rounds: int, sga_lr: float, recovery_lr: float,
                    stage_callback=None) -> tuple[GlobalModel, list[StageCost]]:
@@ -312,13 +331,8 @@ class UnlearnEngine:
                             sorted(partition.forget_classes | partition.forget_clients))
                 self.warnings += 1
                 rounds = 0
-            params = current.params
-            start = time.monotonic()
-            for _ in range(rounds):
-                params = round_fn(params, partition, lr)
-            cost = StageCost(stage, rounds, rounds * size, (time.monotonic() - start) * 1e3)
+            current, cost = self._stage(stage, current, partition, rounds, round_fn, lr, size)
             costs.append(cost)
-            current = GlobalModel(params=params, spec=model.spec, round=model.round)
             if stage_callback is not None:
                 stage_callback(stage, current, cost)
         return current, costs
@@ -372,24 +386,14 @@ class UnlearnEngine:
             log.warning("client %d was never unlearned; relearning is a refresh", j)
             self.warnings += 1
 
-        still_forgotten = self.forgotten_classes - classes
-        rejoin_clients = (set(self.clients) - self.forgotten_clients) | client_ids
-        splits = {}
-        for cid in sorted(rejoin_clients):
-            syn = self.clients[cid].syn
-            if syn is not None:
-                splits[cid] = ClientSplit(forget={}, keep={c: t for c, t in syn.buckets.items()
-                                                          if c not in still_forgotten})
-        partition = ForgetPartition(splits=splits, forget_classes=still_forgotten,
-                                    forget_clients=self.forgotten_clients - client_ids)
+        rejoin = (set(self.clients) - self.forgotten_clients) | client_ids
+        buckets = {cid: self.clients[cid].syn.buckets for cid in sorted(rejoin)
+                   if self.clients[cid].syn is not None}
+        partition = _split_buckets(buckets, set(), set(), self.forgotten_classes - classes)
         if rounds and not partition.keep_total():
             raise ShapeError("no retained buckets to relearn from")
-        params = model.params
-        start = time.monotonic()
-        for _ in range(rounds):
-            params = self.recovery_round(params, partition, lr)
-        cost = StageCost("relearn", rounds, rounds * partition.keep_total(),
-                         (time.monotonic() - start) * 1e3)
+        model, cost = self._stage("relearn", model, partition, rounds, self.recovery_round, lr,
+                                  partition.keep_total())
         self.forgotten_classes -= classes
         self.forgotten_clients -= client_ids
-        return GlobalModel(params=params, spec=model.spec, round=model.round), cost
+        return model, cost

@@ -1,5 +1,5 @@
-"""Print the SHA-256 of every artifact that `run` and then `unlearn --requests`
-write, for three fixed configs.
+"""Print the SHA-256 of every artifact that `run`, then `unlearn --requests`,
+then `distill` (into a directory of its own) write, for three fixed configs.
 
     python tests/artifact_digest.py > digests.txt
     python tests/artifact_digest.py --against digests.txt
@@ -11,9 +11,10 @@ exits 1 if there are any.  Hashed are every `.qdmd`, `.qdsy` and `report_*.json`
 and every CSV with its `wall_ms` column dropped (wall times differ from run
 to run).  The configs are `configs/blobs_small.json`, the convnet world of
 the benchmark's `fl_conv` workload at seed 1, and a 3-block convnet on
-[1,8,8] inputs whose last pooling window covers the whole 2x2 map.  Each
-command runs as `python -m feddistill` on this checkout's `src/`, in a
-temporary directory.  pytest does not collect this file.
+[1,8,8] inputs whose last pooling window covers the whole 2x2 map, with one
+fine-tune pass after training.  Each command runs as `python -m feddistill`
+on this checkout's `src/`, in a temporary directory.  pytest does not
+collect this file.
 """
 from __future__ import annotations
 
@@ -56,7 +57,8 @@ CONV_8X8 = {
     "participation": 1.0,
     "arch": {"kind": "convnet", "blocks": 3, "filters": 4},
     "distill": {"enabled": True, "rounds": 2, "local_steps": 2, "syn_lr": 0.1,
-                "model_lr": 0.2, "real_batch_per_class": 8, "scale_s": 10.0},
+                "model_lr": 0.2, "real_batch_per_class": 8, "scale_s": 10.0,
+                "fine_tune_steps": 1},
     "unlearn": {"requests": ["unlearn class=1"], "unlearn_rounds": 1, "recovery_rounds": 1,
                 "sga_lr": 0.1, "recovery_lr": 0.05, "mix_per_class": 4,
                 "relearn_rounds": 1},
@@ -103,15 +105,16 @@ def digests():
     with tempfile.TemporaryDirectory() as tmp:
         for name, (config, requests) in CASES.items():
             case = Path(tmp) / name
-            out_dir = case / "out"
             case.mkdir()
             config_path = case / "config.json"
             config_path.write_text(json.dumps(config))
             requests_path = case / "requests.txt"
             requests_path.write_text("\n".join(requests) + "\n")
-            for step, args in (("run", ["run", str(config_path)]),
-                               ("unlearn", ["unlearn", str(config_path),
-                                            "--requests", str(requests_path)])):
+            for step, out_dir, args in (
+                    ("run", case / "out", ["run", str(config_path)]),
+                    ("unlearn", case / "out", ["unlearn", str(config_path),
+                                               "--requests", str(requests_path)]),
+                    ("distill", case / "distill", ["distill", str(config_path)])):
                 _feddistill(args, out_dir)
                 for path in _artifacts(out_dir):
                     yield f"{_digest(path)}  {name}/{step}/{path.name}"

@@ -156,6 +156,24 @@ def served_run(tmp_path_factory):
     return tmp_path, config
 
 
+def test_report_prints_one_row_per_stage(served_run, capsys):
+    out = served_run[0] / "out"
+    expected = []
+    for path in sorted(out.glob("report_*.json")):
+        report = json.loads(path.read_text())
+        expected += [[report["method"], stage["stage"]] for stage in report["stages"]]
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["method", "stage"] and len(expected) >= 6
+    assert [row.split()[:2] for row in rows] == expected
+
+
+def test_report_on_an_empty_directory(tmp_path, capsys):
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"no report files under {tmp_path}\n"
+
+
 def test_unlearn_subcommand_reproduces_the_run_stages(served_run):
     tmp_path, config = served_run
     reqs = tmp_path / "reqs.txt"
@@ -289,13 +307,16 @@ def test_corrupt_checkpoints_exit_4(served_run, tmp_path, monkeypatch, capsys, n
 CONVNET = {"kind": "convnet", "blocks": 1, "filters": 4}
 
 
-def _idx_dataset(tmp_path: Path, image_magic: int = 0x803) -> dict:
-    """A 16x16 IDX dataset of 8 images in two classes, used for train and test."""
-    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
-    images.write_bytes(struct.pack(">IIII", image_magic, 8, 16, 16) + bytes(8 * 16 * 16))
-    labels.write_bytes(struct.pack(">II", 0x801, 8) + bytes([0, 1] * 4))
-    return {"kind": "idx", "train_images": str(images), "train_labels": str(labels),
-            "test_images": str(images), "test_labels": str(labels)}
+def _idx_dataset(tmp_path: Path, image_magic: int = 0x803, labels=(0, 1) * 4,
+                 label_header: bytes | None = None) -> dict:
+    """A 16x16 IDX dataset, one image per label (8 images in two classes by
+    default), used for train and test."""
+    n = len(labels)
+    images, label_file = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", image_magic, n, 16, 16) + bytes(n * 16 * 16))
+    label_file.write_bytes((label_header or struct.pack(">II", 0x801, n)) + bytes(labels))
+    return {"kind": "idx", "train_images": str(images), "train_labels": str(label_file),
+            "test_images": str(images), "test_labels": str(label_file)}
 
 
 @pytest.mark.parametrize("content, message", [
@@ -362,3 +383,40 @@ def test_idx_header_with_a_bad_magic_exits_4(tmp_path, capsys):
     assert main(["validate", str(path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "images.idx: bad magic 0x00001234" in err
+
+
+@pytest.mark.parametrize("labels, arch", [
+    (range(8), {"kind": "mlp", "hidden": [8], "class_count": 5}),
+    ((0, 10) * 4, {"kind": "mlp", "hidden": [8]}),
+], ids=["count-5-labels-0-7", "default-count-label-10"])
+def test_idx_class_count_at_or_below_a_label_exits_2(tmp_path, capsys, labels, arch):
+    path = _config(tmp_path, dataset=_idx_dataset(tmp_path, labels=labels), arch=arch,
+                   unlearn={})
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: arch.class_count:") and "Traceback" not in err
+        assert str(tmp_path / "labels.idx") in err
+    assert not (tmp_path / "out" / "model.qdmd").exists()
+
+
+@pytest.mark.parametrize("header, message", [
+    (struct.pack(">II", 0x1234, 8), "labels.idx: bad magic 0x00001234"),
+    (struct.pack(">II", 0x801, 9), "labels.idx: truncated while reading 9 labels"),
+], ids=["bad-magic", "truncated"])
+def test_idx_label_file_read_by_validate_exits_4(tmp_path, capsys, header, message):
+    path = _config(tmp_path, dataset=_idx_dataset(tmp_path, label_header=header), unlearn={})
+    assert main(["validate", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and message in err and "Traceback" not in err
+
+
+def test_idx_datasets_take_the_arch_class_count(tmp_path):
+    from feddistill.config import load_config
+    from feddistill.runner import build_datasets
+
+    path = _config(tmp_path, dataset=_idx_dataset(tmp_path, labels=(0, 10) * 4),
+                   arch={"kind": "mlp", "hidden": [8], "class_count": 12}, unlearn={})
+    assert validate_config(path) == []
+    train, test = build_datasets(load_config(path))
+    assert train.class_count == test.class_count == 12

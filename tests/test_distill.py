@@ -261,6 +261,19 @@ def test_distill_standalone_deterministic():
         np.testing.assert_array_equal(a.buckets[c].data, b.buckets[c].data)
 
 
+def test_standalone_synthetic_step_replays_the_loss_gradient_tape():
+    spec = ArchSpec(kind="mlp", input_shape=(1, 2, 2), class_count=2, hidden=(5,))
+    data = synth_blobs(2, 40, (1, 2, 2), separation=6.0, seed=5)
+    cfg = DistillConfig(outer_steps=2, inner_steps=3, real_batch_per_class=12, seed=11)
+    syn = distill_standalone(data, spec, cfg, s=10)
+    xs, _ = syn.union()
+    # key: (kind, params, ((batch shape, dtype), (labels shape, dtype)), grad mode)
+    tapes = [tape for key, tape in spec.tapes.items()
+             if key[0] == "loss_gradient" and key[2][0][0] == xs.shape]
+    assert xs.shape[0] != cfg.real_batch_per_class
+    assert len(tapes) == 1 and tapes[0].replays >= 1
+
+
 def test_fine_tune_identity_and_counter():
     data = synth_blobs(2, 40, (1, 2, 2), separation=6.0, seed=6)
     cfg = DistillConfig(outer_steps=1, inner_steps=4, real_batch_per_class=8, seed=12)

@@ -8,6 +8,7 @@ import pytest
 from feddistill.data import dirichlet_partition, synth_blobs
 from feddistill.distill import DistillConfig
 from feddistill.errors import ShapeError
+from feddistill.evaluate import original_data_partition
 from feddistill.federation import build_clients, train_federated
 from feddistill.models import ArchSpec
 from feddistill.tensor import Tensor
@@ -124,6 +125,21 @@ def test_partition_mixins_only_from_keep_classes():
         assert set(np.unique(split.mix_y)) <= set(split.keep)
         for c in split.keep:
             assert (split.mix_y == c).sum() <= 3
+
+
+@pytest.mark.parametrize("classes, client_ids", [({1}, set()), (set(), {1}), ({0}, {1})],
+                         ids=["class", "client", "batch"])
+def test_distilled_and_original_partitions_split_classes_alike(classes, client_ids):
+    model, clients, spec = _trained_world()
+    engine = UnlearnEngine(clients, spec, master_seed=3)
+    distilled = engine.build_forget_partition(classes, client_ids, mix_per_class=0)
+    original = original_data_partition(clients, classes, client_ids)
+
+    def sides(partition):
+        return {cid: (sorted(s.forget), sorted(s.keep)) for cid, s in partition.splits.items()}
+
+    assert sides(distilled) == sides(original)
+    assert any(forget for forget, _ in sides(distilled).values())
 
 
 def test_resolve_unknown_targets():
