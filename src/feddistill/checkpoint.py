@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import check_end
 from .errors import DataFormatError
 from .models import ArchSpec
 from .tensor import ParamSet, Tensor
@@ -73,14 +74,6 @@ def _read(f, count: int, what: str) -> bytes:
     return buf
 
 
-def _check_end(f, path) -> None:
-    offset = f.tell()
-    extra = len(f.read())
-    if extra:
-        raise DataFormatError(f"{path}: {extra} trailing bytes after the last tensor, "
-                              f"at byte {offset}")
-
-
 def _check_header(f, magic: bytes, path) -> None:
     got = _read(f, 4, "magic")
     if got != magic:
@@ -136,7 +129,7 @@ def load_model(path, spec: ArchSpec) -> ParamSet:
             arr = np.frombuffer(raw, dtype=_DTYPE_BY_WIDTH[width]).reshape(shape)
             entries.append((name, Tensor(arr.astype(_native(width)), requires_grad=True),
                             _ROLE_NAMES[role_code]))
-        _check_end(f, path)
+        check_end(f, path, "the last tensor")
     return ParamSet(entries)
 
 
@@ -182,5 +175,5 @@ def load_synthetic(path) -> SyntheticDataset:
             raw = _read(f, width * m_c * per_sample, f"class {c} tensor")
             arr = np.frombuffer(raw, dtype=_DTYPE_BY_WIDTH[width]).reshape(m_c, *chw)
             buckets[c] = Tensor(arr.astype(_native(width)), requires_grad=True)
-        _check_end(f, path)
+        check_end(f, path, "the last tensor")
     return SyntheticDataset(buckets)

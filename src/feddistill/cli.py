@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dis = sub.add_parser("distill", help="standalone distillation only")
     dis.add_argument("config")
 
-    unl = sub.add_parser("unlearn", help="apply a request file to saved checkpoints")
+    unl = sub.add_parser("unlearn", help="apply a request file to the saved checkpoints; each "
+                         "run restarts from model.qdmd and overwrites model_final.qdmd")
     unl.add_argument("config")
     unl.add_argument("--requests", required=True, help="line-delimited request file")
 

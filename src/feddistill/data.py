@@ -65,6 +65,14 @@ def _read_exact(f, count: int, path: str, what: str) -> bytes:
     return buf
 
 
+def check_end(f, path, what: str) -> None:
+    """Reject any byte after `what`, naming how many there are and where they start."""
+    offset = f.tell()
+    extra = len(f.read())
+    if extra:
+        raise DataFormatError(f"{path}: {extra} trailing bytes after {what}, at byte {offset}")
+
+
 def _idx_header(f, path: str, magic: int, sizes: int) -> tuple[int, ...]:
     """The `sizes` dimension sizes after a checked IDX magic number."""
     found, *dims = struct.unpack(f">{1 + sizes}I", _read_exact(f, 4 + 4 * sizes, path, "header"))
@@ -85,6 +93,7 @@ def idx_labels(path) -> np.ndarray:
     with open(path, "rb") as f:
         (n,) = _idx_header(f, str(path), IDX_LABELS_MAGIC, 1)
         raw = _read_exact(f, n, str(path), f"{n} labels")
+        check_end(f, path, f"{n} labels")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
@@ -95,9 +104,7 @@ def load_idx(images_path, labels_path, expected_classes: int = 10,
     with open(images_path, "rb") as f:
         n, rows, cols = _idx_header(f, images_path, IDX_IMAGES_MAGIC, 3)
         raw = _read_exact(f, n * rows * cols, images_path, f"{n} images of {rows}x{cols}")
-        extra = f.read(1)
-        if extra:
-            raise DataFormatError(f"{images_path}: trailing bytes after {n} images")
+        check_end(f, images_path, f"{n} images")
     labels = idx_labels(labels_path)
     if n != labels.size:
         raise DataFormatError(f"{n} images but {labels.size} labels")

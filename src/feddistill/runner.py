@@ -301,7 +301,9 @@ def run_distill_only(config_path) -> RunArtifacts:
 
 
 def run_unlearn_only(config_path, requests_path) -> RunArtifacts:
-    """Execute a request file against previously saved checkpoints."""
+    """Execute a request file against the checkpoints of an earlier `run`. Each call
+    restarts from `model.qdmd` and the saved `.qdsy` files, so two calls do not
+    compose, and it overwrites `model_final.qdmd` and the unlearn reports."""
     cfg = _checked_config(config_path)
     out = Path(cfg.output_dir)
     model_path = out / "model.qdmd"

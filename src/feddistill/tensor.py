@@ -29,7 +29,6 @@ import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GraphError, NumericError, ShapeError
 
@@ -498,15 +497,18 @@ def _conv_geometry(shape, ksize: int, stride: int, padding: int):
 def im2col(x: Tensor, ksize: int, stride: int = 1, padding: int = 0) -> Tensor:
     """[B,C,H,W] -> [B*OH*OW, C*k*k] patch matrix; linear, adjoint is col2im."""
     b, c, h, w, oh, ow = _conv_geometry(x.data.shape, ksize, stride, padding)
-    full = x.data.shape
 
     def kernel(arr):
-        xp = np.pad(arr, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        windows = sliding_window_view(xp, (ksize, ksize), axis=(2, 3))[:, :, ::stride, ::stride]
-        return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * ksize * ksize)
+        # channels-last: k*k strided copies fill [B,OH,OW,C,k,k]; its reshape is free
+        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=arr.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = arr.transpose(0, 2, 3, 1)
+        cols = np.empty((b, oh, ow, c, ksize, ksize), dtype=arr.dtype)
+        for ki, kj in itertools.product(range(ksize), repeat=2):
+            cols[..., ki, kj] = xp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+        return cols.reshape(b * oh * ow, c * ksize * ksize)
 
     def vjp(g):
-        return (col2im(g, full, ksize, stride, padding),)
+        return (col2im(g, (b, c, h, w), ksize, stride, padding),)
 
     return _op(kernel, (x,), vjp)
 
@@ -518,12 +520,12 @@ def col2im(cols: Tensor, image_shape, ksize: int, stride: int = 1, padding: int 
         raise ShapeError(f"col2im: got {cols.shape}, expected {(b * oh * ow, c * ksize * ksize)}")
 
     def kernel(arr):
-        g6 = arr.reshape(b, oh, ow, c, ksize * ksize).transpose(0, 3, 4, 1, 2)
-        buf = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=arr.dtype)
-        for ki in range(ksize):
-            for kj in range(ksize):
-                buf[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += g6[:, :, ki * ksize + kj]
-        return np.ascontiguousarray(buf[:, :, padding:padding + h, padding:padding + w])
+        # channels-last adds onto +0, (ki, kj) in row-major order, then one NCHW copy
+        g5 = arr.reshape(b, oh, ow, c, ksize * ksize)
+        buf = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=arr.dtype)
+        for ki, kj in itertools.product(range(ksize), repeat=2):
+            buf[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += g5[..., ki * ksize + kj]
+        return np.ascontiguousarray(buf[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
 
     def vjp(g):
         return (im2col(g, ksize, stride, padding),)

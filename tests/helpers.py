@@ -1,10 +1,11 @@
 """Helpers that only the tests use: a finite-difference gradient check, a
-centralized SGD trainer and a few small accessors."""
+centralized SGD trainer, reference patch kernels and a few small accessors."""
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from feddistill.data import LabeledDataset
 from feddistill.distill import sgd_step
@@ -86,3 +87,28 @@ def sample_shape(data: LabeledDataset) -> tuple[int, ...]:
 
 def total_size(params: ParamSet) -> int:
     return sum(t.size for t in params.tensors())
+
+
+def im2col_reference(arr: np.ndarray, ksize: int, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """NCHW patch matrix through `np.pad` and a window view; `tensor.im2col`
+    must equal it bit for bit."""
+    b, c = arr.shape[:2]
+    xp = np.pad(arr, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = sliding_window_view(xp, (ksize, ksize), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = windows.shape[2:4]
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * ksize * ksize)
+
+
+def col2im_reference(arr: np.ndarray, image_shape, ksize: int, stride: int = 1,
+                     padding: int = 0) -> np.ndarray:
+    """NCHW scatter-add of a patch matrix onto +0, one (ki, kj) slice at a time in
+    row-major order; `tensor.col2im` must equal it bit for bit."""
+    b, c, h, w = image_shape
+    oh = (h + 2 * padding - ksize) // stride + 1
+    ow = (w + 2 * padding - ksize) // stride + 1
+    g6 = arr.reshape(b, oh, ow, c, ksize * ksize).transpose(0, 3, 4, 1, 2)
+    buf = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=arr.dtype)
+    for ki in range(ksize):
+        for kj in range(ksize):
+            buf[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += g6[:, :, ki * ksize + kj]
+    return np.ascontiguousarray(buf[:, :, padding:padding + h, padding:padding + w])

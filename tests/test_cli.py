@@ -189,6 +189,24 @@ def test_unlearn_subcommand_reproduces_the_run_stages(served_run):
     assert served == run[1:]
 
 
+def test_each_unlearn_run_restarts_from_the_saved_checkpoints(served_run):
+    tmp_path, config = served_run
+    out = tmp_path / "out"
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text("unlearn class=2\n")
+    second.write_text("unlearn class=1\n")
+
+    def unlearn(reqs):
+        assert main(["unlearn", str(config), "--requests", str(reqs)]) == 0
+        # the report JSON holds no wall times, so its bytes repeat
+        return ((out / "report_distilled_unlearn_seed7.json").read_bytes(),
+                (out / "model_final.qdmd").read_bytes())
+
+    alone = unlearn(second)
+    assert unlearn(first) != alone
+    assert unlearn(second) == alone   # class 2 is not forgotten any more
+
+
 @pytest.mark.parametrize("command, request_line, message", [
     ("unlearn", "frobnicate class=1", "cannot parse request line"),
     ("unlearn", "unlearn class=9", "class 9"),
@@ -409,6 +427,19 @@ def test_idx_label_file_read_by_validate_exits_4(tmp_path, capsys, header, messa
     assert main(["validate", str(path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_idx_label_file_with_trailing_bytes_exits_4(tmp_path, capsys, command):
+    dataset = _idx_dataset(tmp_path, labels=(0, 1) * 8)
+    with open(dataset["train_labels"], "ab") as f:
+        f.write(b"\x00\x01\x02")
+    path = _config(tmp_path, dataset=dataset, unlearn={})
+    assert main([command, str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "Traceback" not in err
+    assert f"{tmp_path / 'labels.idx'}: 3 trailing bytes after 16 labels, at byte 24" in err
+    assert not (tmp_path / "out" / "model.qdmd").exists()
 
 
 def test_idx_datasets_take_the_arch_class_count(tmp_path):

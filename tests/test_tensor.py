@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feddistill.errors import GraphError, NumericError, ShapeError
 from feddistill.tensor import (
@@ -32,7 +34,7 @@ from feddistill.tensor import (
     transpose,
     window_sum,
 )
-from helpers import finite_diff_check
+from helpers import col2im_reference, finite_diff_check, im2col_reference
 
 
 def _rng(seed):
@@ -356,6 +358,53 @@ def test_im2col_col2im_adjoint_pair():
     lhs = float((im2col(Tensor(x), 3, 1, 1).data * c).sum())
     rhs = float((x * col2im(Tensor(c), x.shape, 3, 1, 1).data).sum())
     assert abs(lhs - rhs) < 1e-9
+
+
+@st.composite
+def _patch_geometry(draw):
+    """(B, C, H, W, k, stride, padding) with H and W that the patches tile exactly."""
+    k, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    padding = draw(st.integers(0, k - 1))
+    fewest = 1 + max(0, -(-(2 * padding + 1 - k) // stride))   # so that H, W >= 1
+    oh, ow = (draw(st.integers(fewest, fewest + 3)) for _ in range(2))
+    h, w = ((n - 1) * stride + k - 2 * padding for n in (oh, ow))
+    return draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, w, k, stride, padding
+
+
+@settings(derandomize=True, database=None, max_examples=800, deadline=None)
+@given(_patch_geometry(), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+def test_patch_kernels_equal_the_nchw_references_bit_for_bit(geometry, dtype, seed):
+    b, c, h, w, k, stride, padding = geometry
+    rng = _rng(seed)
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan])
+
+    def draw_array(shape):
+        x = rng.normal(size=shape)
+        seeded = rng.random(shape) < 0.2
+        x[seeded] = rng.choice(specials, size=int(seeded.sum()))
+        return x.astype(dtype)
+
+    bits = np.uint32 if dtype == np.float32 else np.uint64
+    x = draw_array((b, c, h, w))
+    cols = im2col(Tensor(x), k, stride, padding).data
+    assert cols.dtype == dtype and cols.flags.c_contiguous
+    np.testing.assert_array_equal(cols.view(bits), im2col_reference(x, k, stride, padding).view(bits))
+    g = draw_array(cols.shape)
+    with np.errstate(invalid="ignore"):   # inf + -inf
+        back = col2im(Tensor(g), x.shape, k, stride, padding).data
+        ref = col2im_reference(g, x.shape, k, stride, padding)
+    assert back.dtype == dtype and back.flags.c_contiguous
+    # A NaN meeting a NaN of the other sign (inf + -inf makes a negative one) keeps
+    # whichever operand numpy's loop for that memory layout returns; so NaNs are
+    # compared by position, every other element by its bits.
+    nan = np.isnan(ref)
+    np.testing.assert_array_equal(np.isnan(back), nan)
+    np.testing.assert_array_equal(back[~nan].view(bits), ref[~nan].view(bits))
+    # adjoint identity <im2col(x), g> == <x, col2im(g)> on finite float64 operands
+    x, g = rng.normal(size=x.shape), rng.normal(size=cols.shape)
+    lhs = float((im2col(Tensor(x), k, stride, padding).data * g).sum())
+    rhs = float((x * col2im(Tensor(g), x.shape, k, stride, padding).data).sum())
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(g).sum() * np.abs(x).max())
 
 
 def test_im2col_gradient_matches_fd():
