@@ -12,9 +12,8 @@ gradient on synthetic data must be taken with graph retention.
 
 The first-order loss gradient and the match update run the same fixed-shape
 graph thousands of times.  Each records its kernels once per key into a
-`Tape` kept on the `ArchSpec` (`spec.tapes`) and replays it afterwards; the
-key holds every parameter's name, shape, dtype and requires_grad, the input
-shapes and dtypes and the grad mode, and for the match update the label.
+`Tape` kept on the `ArchSpec` (`spec.tapes`) and replays it afterwards,
+keyed by `models._tape_key`.
 """
 from __future__ import annotations
 
@@ -27,7 +26,15 @@ import numpy as np
 
 from .data import ClassBatchSampler, LabeledDataset, class_index
 from .errors import ShapeError
-from .models import ArchSpec, InitDistribution, check_labels, cross_entropy, forward, init_params
+from .models import (
+    ArchSpec,
+    InitDistribution,
+    _tape_key,
+    check_labels,
+    cross_entropy,
+    forward,
+    init_params,
+)
 from .seeds import derive_seed, make_rng
 from .tensor import (
     GradSet,
@@ -36,7 +43,6 @@ from .tensor import (
     Tensor,
     _node,
     _recorder,
-    _recording,
     asum,
     constant,
     div,
@@ -190,12 +196,6 @@ def grad_distance(ga: GradSet, gb: GradSet) -> Tensor:
 
 def _both_rows_nonzero(na2: np.ndarray, nb2: np.ndarray) -> np.ndarray:
     return ((np.sqrt(na2) >= ZERO_ROW_EPS) & (np.sqrt(nb2) >= ZERO_ROW_EPS)).astype(na2.dtype)
-
-
-def _tape_key(kind, params: ParamSet, arrays) -> tuple:
-    return (kind, tuple((name, t.data.shape, t.data.dtype, t.requires_grad, role)
-                        for name, t, role in params),
-            tuple((a.shape, a.dtype) for a in arrays), _recording())
 
 
 def _detached(data: np.ndarray) -> Tensor:

@@ -13,9 +13,9 @@ from .data import LabeledDataset
 from .distill import DistillConfig
 from .errors import ShapeError
 from .federation import ClientState, GlobalModel, RoundRecord, train_federated
-from .models import ArchSpec, forward, predict
+from .models import ArchSpec, _chunked_logits, predict
 from .seeds import make_rng
-from .tensor import ParamSet, Tensor, no_grad
+from .tensor import ParamSet, Tensor
 from .unlearn import ForgetPartition, StageCost, UnlearnEngine, _split_buckets
 
 
@@ -125,19 +125,12 @@ def accuracy_report(params: ParamSet, spec: ArchSpec, test_set: LabeledDataset,
 
 
 def per_sample_losses(params: ParamSet, spec: ArchSpec, samples: np.ndarray,
-                      labels: np.ndarray, batch_size: int = 512) -> np.ndarray:
+                      labels: np.ndarray) -> np.ndarray:
     """Cross-entropy of each sample under the model, no graph kept."""
-    dtype = params.tensors()[0].dtype
-    out = np.empty(samples.shape[0], dtype=np.float64)
-    with no_grad():
-        for start in range(0, samples.shape[0], batch_size):
-            x = Tensor(np.ascontiguousarray(samples[start:start + batch_size]), dtype=dtype)
-            logits = forward(params, spec, x).data.astype(np.float64)
-            z = logits - logits.max(axis=1, keepdims=True)
-            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-            y = labels[start:start + x.shape[0]]
-            out[start:start + x.shape[0]] = -logp[np.arange(x.shape[0]), y]
-    return out
+    logits = _chunked_logits(params, spec, samples).astype(np.float64)
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return -logp[np.arange(samples.shape[0]), labels]
 
 
 @dataclass
@@ -152,6 +145,29 @@ def _balanced_accuracy(member_losses, nonmember_losses, threshold) -> float:
     tpr = float((member_losses <= threshold).mean())
     tnr = float((nonmember_losses > threshold).mean())
     return 0.5 * (tpr + tnr)
+
+
+def _fit_threshold(mem_fit: np.ndarray, non_fit: np.ndarray) -> tuple[float, float]:
+    """The loss threshold with the best balanced accuracy on the fit halves,
+    and that accuracy.  Candidates are the midpoints of the sorted pooled
+    losses plus one beyond each end; ties resolve toward the median loss.
+
+    One sorted sweep scores every candidate: `searchsorted` over each sorted
+    half counts the losses at or below it.  A count over the pool size is
+    bitwise the mean of the boolean comparison, and a NaN loss or candidate
+    compares false, as it does there."""
+    pooled = np.sort(np.concatenate([mem_fit, non_fit]))
+    mids = 0.5 * (pooled[1:] + pooled[:-1])
+    candidates = np.concatenate([[pooled[0] - 1e-9], mids, [pooled[-1] + 1e-9]])
+    real = ~np.isnan(candidates)
+    mem, non = (np.sort(v[~np.isnan(v)]) for v in (mem_fit, non_fit))
+    at_or_below = np.where(real, np.searchsorted(mem, candidates, side="right"), 0)
+    above = np.where(real, len(non) - np.searchsorted(non, candidates, side="right"), 0)
+    scores = 0.5 * (at_or_below / len(mem_fit) + above / len(non_fit))
+    best = scores.max()
+    tied = candidates[scores == best]
+    median = float(np.median(pooled))
+    return float(tied[np.argmin(np.abs(tied - median))]), float(best)
 
 
 def mia_attack(params: ParamSet, spec: ArchSpec, member_pool: LabeledDataset,
@@ -177,15 +193,7 @@ def mia_attack(params: ParamSet, spec: ArchSpec, member_pool: LabeledDataset,
     mem_fit, mem_eval = np.array_split(mem, 2)
     non_fit, non_eval = np.array_split(non, 2)
 
-    pooled = np.sort(np.concatenate([mem_fit, non_fit]))
-    mids = 0.5 * (pooled[1:] + pooled[:-1])
-    candidates = np.concatenate([[pooled[0] - 1e-9], mids, [pooled[-1] + 1e-9]])
-    scores = np.array([_balanced_accuracy(mem_fit, non_fit, t) for t in candidates])
-    best = scores.max()
-    tied = candidates[scores == best]
-    median = float(np.median(pooled))
-    threshold = float(tied[np.argmin(np.abs(tied - median))])
-
+    threshold, best = _fit_threshold(mem_fit, non_fit)
     return MIAResult(
         forget_member_rate=float((fgt <= threshold).mean()),
         fit_balanced_accuracy=float(best),

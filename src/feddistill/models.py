@@ -18,7 +18,9 @@ from .errors import ShapeError
 from .seeds import make_rng
 from .tensor import (
     ParamSet,
+    Recorder,
     Tensor,
+    _recording,
     add,
     asum,
     constant,
@@ -28,6 +30,7 @@ from .tensor import (
     matmul,
     mean,
     mul,
+    no_grad,
     relu,
     reshape,
     sqrt,
@@ -38,6 +41,7 @@ from .tensor import (
 from .tensor import exp as texp
 
 NORM_EPS = 1e-5
+EVAL_CHUNK_BYTES = 1 << 20      # cap on one evaluation chunk's largest forward array
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class ArchSpec:
     norm: str = "instance"                     # "instance" | "none"
     pool: int = 2                              # avg-pool kernel == stride
     hidden: tuple[int, ...] = (64,)            # mlp hidden sizes
-    # recorded tapes of this run's fixed-shape calls (see distill.loss_gradient)
+    # recorded tapes of this run's fixed-shape calls, keyed by `_tape_key`
     tapes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -115,6 +119,15 @@ class ArchSpec:
     def digest(self) -> bytes:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).digest()
+
+
+def _tape_key(kind, params: ParamSet, arrays) -> tuple:
+    """Key of a tape in `ArchSpec.tapes`: the kind, each parameter's name,
+    shape, dtype, requires_grad and role, the shapes and dtypes of the other
+    inputs, and the grad mode."""
+    return (kind, tuple((name, t.data.shape, t.data.dtype, t.requires_grad, role)
+                        for name, t, role in params),
+            tuple((a.shape, a.dtype) for a in arrays), _recording())
 
 
 @dataclass(frozen=True)
@@ -265,16 +278,54 @@ def check_labels(labels: np.ndarray, logits_shape: tuple[int, int]) -> None:
                          f"[{labels.min()}, {labels.max()}]")
 
 
-def predict(params: ParamSet, spec: ArchSpec, samples: np.ndarray,
-            batch_size: int = 512) -> np.ndarray:
-    """Argmax class per sample, evaluated without building graphs."""
-    from .tensor import no_grad
+def _eval_rows(spec: ArchSpec, itemsize: int) -> int:
+    """Rows per evaluation chunk: the most for which the largest per-sample
+    forward array (an activation or an im2col patch matrix) stays within
+    EVAL_CHUNK_BYTES, and at least two (see _chunk_bounds)."""
+    c, h, w = spec.input_shape
+    if spec.kind == "convnet":
+        widest = 0
+        for _ in range(spec.blocks):
+            widest = max(widest, h * w * max(9 * c, spec.filters))
+            c, h, w = spec.filters, h // spec.pool, w // spec.pool
+    else:
+        widest = max(c * h * w, *spec.hidden, spec.class_count)
+    return max(2, EVAL_CHUNK_BYTES // (widest * itemsize))
 
+
+def _chunk_bounds(n: int, rows: int) -> list[tuple[int, int]]:
+    # A one-row matrix product rounds differently from the same row inside a
+    # larger one, so no chunk has one row: a one-row remainder joins the chunk
+    # before it.
+    bounds = [(start, min(start + rows, n)) for start in range(0, n, rows)]
+    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] == 1:
+        bounds[-2:] = [(bounds[-2][0], n)]
+    return bounds
+
+
+def _chunked_logits(params: ParamSet, spec: ArchSpec, samples: np.ndarray) -> np.ndarray:
+    """Logits of every sample, in chunks of `_eval_rows` rows, without
+    building graphs.  Each chunk shape records one forward tape into
+    `spec.tapes`, with the parameters and the chunk as its inputs; later
+    chunks of that shape replay it."""
     dtype = params.tensors()[0].dtype
-    out = np.empty(samples.shape[0], dtype=np.int64)
+    out = np.empty((samples.shape[0], spec.class_count), dtype=dtype)
     with no_grad():
-        for start in range(0, samples.shape[0], batch_size):
-            chunk = samples[start:start + batch_size]
-            logits = forward(params, spec, Tensor(np.ascontiguousarray(chunk), dtype=dtype))
-            out[start:start + chunk.shape[0]] = logits.data.argmax(axis=1)
+        for start, stop in _chunk_bounds(samples.shape[0], _eval_rows(spec, dtype.itemsize)):
+            x = Tensor(np.ascontiguousarray(samples[start:stop]), dtype=dtype)
+            inputs = [t.data for t in params.tensors()] + [x.data]
+            key = _tape_key("forward", params, [x.data])
+            tape = spec.tapes.get(key)
+            if tape is None:
+                with Recorder(inputs) as rec:
+                    logits = forward(params, spec, x)
+                spec.tapes[key] = rec.finish([logits])
+                out[start:stop] = logits.data
+            else:
+                out[start:stop] = tape.run(inputs)[0][0]
     return out
+
+
+def predict(params: ParamSet, spec: ArchSpec, samples: np.ndarray) -> np.ndarray:
+    """Argmax class per sample, evaluated without building graphs."""
+    return _chunked_logits(params, spec, samples).argmax(axis=1)

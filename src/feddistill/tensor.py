@@ -287,14 +287,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _op(np.sqrt, (a,), lambda g: (div(g, mul_scalar(sqrt(a), 2.0)),))
 
 
-def sin(a: Tensor) -> Tensor:
-    return _op(np.sin, (a,), lambda g: (mul(g, cos(a)),))
-
-
-def cos(a: Tensor) -> Tensor:
-    return _op(np.cos, (a,), lambda g: (neg(mul(g, sin(a))),))
-
-
 def _positive(x: np.ndarray) -> np.ndarray:
     return (x > 0).astype(x.dtype)
 
@@ -432,54 +424,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _copy(x: np.ndarray) -> np.ndarray:
     return x.copy()
-
-
-def take_slice(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = tuple(slice(start, stop) if i == axis else slice(None) for i in range(a.data.ndim))
-    full = a.data.shape
-
-    def vjp(g):
-        return (pad_slice(g, full, axis, start),)
-
-    return _op(lambda x: x[idx].copy(), (a,), vjp)
-
-
-def pad_slice(a: Tensor, full_shape, axis: int, start: int) -> Tensor:
-    full_shape = tuple(full_shape)
-    stop = start + a.data.shape[axis]
-    idx = tuple(slice(start, stop) if i == axis else slice(None) for i in range(len(full_shape)))
-
-    def kernel(arr):
-        buf = np.zeros(full_shape, dtype=arr.dtype)
-        buf[idx] = arr
-        return buf
-
-    def vjp(g):
-        return (take_slice(g, axis, start, stop),)
-
-    return _op(kernel, (a,), vjp)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    if len(parts) == 1:
-        return _op(_copy, (parts[0],), lambda g: (g,))
-    ref = parts[0]
-    for p in parts[1:]:
-        if p.data.ndim != ref.data.ndim or p.data.dtype != ref.data.dtype:
-            raise ShapeError("concat: rank/dtype mismatch")
-        for i, (s0, s1) in enumerate(zip(ref.data.shape, p.data.shape)):
-            if i != axis and s0 != s1:
-                raise ShapeError(f"concat: non-concat axis {i} differs ({s0} vs {s1})")
-    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
-
-    def vjp(g):
-        return tuple(take_slice(g, axis, int(offsets[i]), int(offsets[i + 1]))
-                     for i in range(len(parts)))
-
-    return _op(lambda *xs: np.concatenate(xs, axis=axis), tuple(parts), vjp)
 
 
 # ---- patch extraction (convolution support) ----------------------------------

@@ -1,5 +1,6 @@
 """Helpers that only the tests use: a finite-difference gradient check, a
-centralized SGD trainer, reference patch kernels and a few small accessors."""
+centralized SGD trainer, reference patch kernels, the reference MIA threshold
+scan, slicing and trigonometric ops, and a few small accessors."""
 from __future__ import annotations
 
 from typing import Callable
@@ -13,7 +14,7 @@ from feddistill.errors import GraphError, NumericError
 from feddistill.evaluate import StageRecord
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
 from feddistill.seeds import make_rng
-from feddistill.tensor import ParamSet, Tensor, grad
+from feddistill.tensor import ParamSet, Tensor, _op, grad, mul, neg
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float,
@@ -112,3 +113,56 @@ def col2im_reference(arr: np.ndarray, image_shape, ksize: int, stride: int = 1,
         for kj in range(ksize):
             buf[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += g6[:, :, ki * ksize + kj]
     return np.ascontiguousarray(buf[:, :, padding:padding + h, padding:padding + w])
+
+
+def mia_threshold_reference(mem_fit: np.ndarray, non_fit: np.ndarray) -> tuple[float, float]:
+    """The threshold scan `evaluate._fit_threshold` must equal bit for bit:
+    every candidate scored by its own pass over both pools."""
+    def balanced(t):
+        return 0.5 * (float((mem_fit <= t).mean()) + float((non_fit > t).mean()))
+
+    pooled = np.sort(np.concatenate([mem_fit, non_fit]))
+    mids = 0.5 * (pooled[1:] + pooled[:-1])
+    candidates = np.concatenate([[pooled[0] - 1e-9], mids, [pooled[-1] + 1e-9]])
+    scores = np.array([balanced(t) for t in candidates])
+    best = scores.max()
+    tied = candidates[scores == best]
+    median = float(np.median(pooled))
+    return float(tied[np.argmin(np.abs(tied - median))]), float(best)
+
+
+# ---- ops that only the tests use, written with public ops ---------------------
+
+
+def take_slice(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    idx = tuple(slice(start, stop) if i == axis else slice(None) for i in range(a.data.ndim))
+    full = a.data.shape
+
+    def vjp(g):
+        return (pad_slice(g, full, axis, start),)
+
+    return _op(lambda x: x[idx].copy(), (a,), vjp)
+
+
+def pad_slice(a: Tensor, full_shape, axis: int, start: int) -> Tensor:
+    full_shape = tuple(full_shape)
+    stop = start + a.data.shape[axis]
+    idx = tuple(slice(start, stop) if i == axis else slice(None) for i in range(len(full_shape)))
+
+    def kernel(arr):
+        buf = np.zeros(full_shape, dtype=arr.dtype)
+        buf[idx] = arr
+        return buf
+
+    def vjp(g):
+        return (take_slice(g, axis, start, stop),)
+
+    return _op(kernel, (a,), vjp)
+
+
+def sin(a: Tensor) -> Tensor:
+    return _op(np.sin, (a,), lambda g: (mul(g, cos(a)),))
+
+
+def cos(a: Tensor) -> Tensor:
+    return _op(np.cos, (a,), lambda g: (neg(mul(g, sin(a))),))

@@ -28,9 +28,9 @@ from feddistill.federation import aggregate as fed_aggregate
 from feddistill.federation import build_clients, train_federated
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
 from feddistill.seeds import derive_seed, make_rng
-from feddistill.tensor import GradSet, Tensor, grad, reshape, take_slice
+from feddistill.tensor import GradSet, Tensor, grad, reshape
 from feddistill.unlearn import UnlearnEngine, UnlearningRequest
-from helpers import finite_diff_check, fit_model, per_class_accuracy
+from helpers import finite_diff_check, fit_model, per_class_accuracy, take_slice
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feddistill.checkpoint import load_model, load_synthetic, save_model, save_synthetic
 from feddistill.data import LabeledDataset, dirichlet_partition, synth_blobs
 from feddistill.distill import DistillConfig, init_synthetic
 from feddistill.errors import DataFormatError, ShapeError
+from feddistill import models, tensor
 from feddistill.evaluate import (
     ExperimentReport,
     MIAConfig,
     StageRecord,
+    _fit_threshold,
     accuracy_report,
     mia_attack,
     per_sample_losses,
@@ -20,9 +24,19 @@ from feddistill.evaluate import (
     sga_or_baseline,
 )
 from feddistill.federation import build_clients, train_federated
-from feddistill.models import ArchSpec, InitDistribution, init_params
-from feddistill.tensor import Tensor
-from helpers import fit_model, per_class_accuracy
+from feddistill.models import (
+    EVAL_CHUNK_BYTES,
+    ArchSpec,
+    InitDistribution,
+    _chunk_bounds,
+    _chunked_logits,
+    _eval_rows,
+    forward,
+    init_params,
+    predict,
+)
+from feddistill.tensor import Tensor, no_grad
+from helpers import fit_model, mia_threshold_reference, per_class_accuracy
 
 SPEC = ArchSpec(kind="mlp", input_shape=(1, 2, 2), class_count=3, hidden=(8,))
 
@@ -85,6 +99,142 @@ def test_per_sample_losses_match_direct_formula():
         x = Tensor(test.samples[i:i + 1], dtype=np.float64)
         direct = cross_entropy(forward(params, SPEC, x), test.labels[i:i + 1]).item()
         assert abs(losses[i] - direct) < 1e-9
+
+
+# ---- chunked, taped evaluation ---------------------------------------------------
+
+# the MLP of blobs_small, the convnet of the fl_conv world, the 3-block
+# convnet of the [1,8,8] digest world, and the default width (128 filters) on
+# [1,28,28], where one sample's patch matrix alone exceeds EVAL_CHUNK_BYTES
+EVAL_SPECS = {
+    "mlp": dict(kind="mlp", input_shape=(1, 4, 4), class_count=3, hidden=(16,)),
+    "fl_conv": dict(kind="convnet", input_shape=(1, 16, 16), class_count=10, blocks=2,
+                    filters=16),
+    "conv_8x8": dict(kind="convnet", input_shape=(1, 8, 8), class_count=4, blocks=3, filters=4),
+    "width_128": dict(kind="convnet", input_shape=(1, 28, 28), class_count=10, blocks=2,
+                      filters=128),
+}
+
+
+def _evaluation(params, spec, samples, labels):
+    return (_chunked_logits(params, spec, samples), predict(params, spec, samples),
+            per_sample_losses(params, spec, samples, labels))
+
+
+def test_a_one_row_remainder_joins_the_chunk_before():
+    assert _chunk_bounds(101, 25) == [(0, 25), (25, 50), (50, 75), (75, 101)]
+    assert _chunk_bounds(102, 25) == [(0, 25), (25, 50), (50, 75), (75, 100), (100, 102)]
+    assert _chunk_bounds(1, 25) == [(0, 1)]
+    assert _chunk_bounds(25, 25) == [(0, 25)]
+    assert _chunk_bounds(0, 25) == []
+
+
+@pytest.mark.parametrize("name", list(EVAL_SPECS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunk_rows_follow_the_largest_forward_array(name, dtype, monkeypatch):
+    spec = ArchSpec(**EVAL_SPECS[name])
+    params = init_params(spec, InitDistribution(seed=1), dtype=dtype)
+    sizes = []
+    node = tensor._node
+
+    def measured(data, parents, vjp):
+        sizes.append(data.nbytes)
+        return node(data, parents, vjp)
+
+    with monkeypatch.context() as patch, no_grad():
+        patch.setattr(tensor, "_node", measured)
+        forward(params, spec, Tensor(np.zeros((1,) + spec.input_shape), dtype=dtype))
+    rows = _eval_rows(spec, np.dtype(dtype).itemsize)
+    assert rows == max(2, EVAL_CHUNK_BYTES // max(sizes))
+    assert rows == 2 or rows * max(sizes) <= EVAL_CHUNK_BYTES < (rows + 1) * max(sizes)
+    assert (rows == 2) == (name == "width_128")
+
+
+# Chunk sizes checked against a reference chunking of 101 samples.  At the
+# default width the 6,272-wide head takes another BLAS kernel from about 16
+# rows on, so there the rule's 2-row chunks are the reference and only chunks
+# of up to 12 rows are claimed to match them.
+CHUNKINGS = {
+    "mlp": (101, (2, 3, 7, 25, 64, 100)),
+    "fl_conv": (101, (2, 3, 7, 25, 64, 100)),
+    "conv_8x8": (101, (2, 3, 7, 25, 64, 100)),
+    "width_128": (2, (3, 7, 12)),
+}
+
+
+@pytest.mark.parametrize("name", list(EVAL_SPECS))
+def test_evaluation_is_bitwise_invariant_to_the_chunk_size(name, monkeypatch):
+    spec = ArchSpec(**EVAL_SPECS[name])
+    params = init_params(spec, InitDistribution(seed=3))
+    rng = np.random.default_rng(4)
+    n = 101
+    samples = rng.random((n,) + spec.input_shape)
+    labels = rng.integers(0, spec.class_count, size=n)
+
+    def chunked(rows):
+        monkeypatch.setattr(models, "_eval_rows", lambda spec, itemsize: rows)
+        return _evaluation(params, spec, samples, labels)
+
+    reference, sizes = CHUNKINGS[name]
+    expected = chunked(reference)
+    # remainders of 1 (joined to the chunk before), 2, 3, 1, 37, 1 and 5; a chunk
+    # of one row alone is left out, as it rounds differently (see _chunk_bounds)
+    for rows in sizes:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(chunked(rows), expected)), rows
+
+
+@pytest.mark.parametrize("name", list(EVAL_SPECS))
+def test_replayed_evaluation_equals_the_interpreter(name):
+    spec = ArchSpec(**EVAL_SPECS[name])
+    rows = _eval_rows(spec, 4)
+    n = 2 * rows + 3                        # two full chunks and three rows more
+    rng = np.random.default_rng(6)
+    samples = rng.random((n,) + spec.input_shape)
+    labels = rng.integers(0, spec.class_count, size=n)
+    bounds = _chunk_bounds(n, rows)
+    for seed in (1, 2):
+        params = init_params(spec, InitDistribution(seed=seed))
+        with no_grad():
+            reference = np.concatenate([
+                forward(params, spec, Tensor(samples[a:b], dtype=np.float32)).data
+                for a, b in bounds])
+        logits, preds, losses = _evaluation(params, spec, samples, labels)
+        assert logits.tobytes() == reference.tobytes()
+        assert np.array_equal(preds, reference.argmax(axis=1))
+        tapes = dict(spec.tapes)
+        assert {key[0] for key in tapes} == {"forward"}
+        assert sorted(key[2][0][0][0] for key in tapes) == sorted([3, rows])   # rows per tape
+        again = _evaluation(params, spec, samples, labels)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again, (logits, preds, losses)))
+        assert spec.tapes == tapes
+    # 2 parameter sets x 2 x 3 evaluations x 3 chunks, one recording per chunk shape
+    assert sum(tape.replays for tape in spec.tapes.values()) == 2 * 6 * len(bounds) - 2
+
+
+# ---- membership inference -------------------------------------------------------
+
+
+@st.composite
+def _loss_pools(draw):
+    """Fit halves of member and non-member losses: continuous values, or a few
+    values with many ties, with an occasional inf or NaN."""
+    tied = draw(st.booleans())
+    values = st.sampled_from([0.0, 0.125, 0.5, 0.5 + 2 ** -40, 1.0, 3.0]) if tied else \
+        st.floats(0.0, 20.0, allow_nan=False)
+    values = st.one_of(values, st.sampled_from([np.inf, np.nan])) if draw(st.booleans()) \
+        else values
+    return tuple(np.array(draw(st.lists(values, min_size=2, max_size=40)), dtype=np.float64)
+                 for _ in range(2))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_loss_pools())
+def test_mia_sorted_sweep_equals_the_scan_bit_for_bit(pools):
+    mem_fit, non_fit = pools
+    with np.errstate(invalid="ignore"):                # inf - inf among the candidates
+        swept, reference = _fit_threshold(mem_fit, non_fit), mia_threshold_reference(mem_fit,
+                                                                                      non_fit)
+    assert np.array(swept).tobytes() == np.array(reference).tobytes()
 
 
 # ---- membership inference -------------------------------------------------------

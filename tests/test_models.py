@@ -7,7 +7,7 @@ from feddistill.errors import ShapeError
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
 from feddistill.models import _avg_pool
 from feddistill.tensor import Tensor, asum, exp, grad, mean, mul, reshape
-from helpers import finite_diff_check, total_size
+from helpers import finite_diff_check, take_slice, total_size
 
 
 MLP = ArchSpec(kind="mlp", input_shape=(1, 1, 4), class_count=3, hidden=(8,))
@@ -131,7 +131,7 @@ def test_forward_ce_gradient_matches_fd_mlp():
 
     def f(vec: Tensor):
         # rebuild a ParamSet view on the flat vector so FD perturbs everything
-        from feddistill.tensor import ParamSet, reshape, take_slice
+        from feddistill.tensor import ParamSet, reshape
 
         entries = []
         off = 0

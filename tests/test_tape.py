@@ -209,7 +209,7 @@ def test_blobs_small_records_each_key_once(tmp_path, monkeypatch):
     replays = sum(t.replays for t in tapes)
     assert replays / (replays + len(tapes)) >= 0.95
     kinds = {key[0] if isinstance(key[0], str) else key[0][0] for key in cfg.arch.tapes}
-    assert kinds == {"loss_gradient", "match"}
+    assert kinds == {"loss_gradient", "match", "forward"}
 
 
 def test_each_spec_instance_has_its_own_tapes():

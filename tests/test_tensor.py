@@ -13,8 +13,6 @@ from feddistill.tensor import (
     add,
     asum,
     col2im,
-    concat,
-    cos,
     div,
     exp,
     expand,
@@ -28,13 +26,18 @@ from feddistill.tensor import (
     no_grad,
     relu,
     reshape,
-    sin,
     sqrt,
-    take_slice,
     transpose,
     window_sum,
 )
-from helpers import col2im_reference, finite_diff_check, im2col_reference
+from helpers import (
+    col2im_reference,
+    finite_diff_check,
+    im2col_reference,
+    pad_slice,
+    sin,
+    take_slice,
+)
 
 
 def _rng(seed):
@@ -285,8 +288,9 @@ def test_matmul_transpose_grads():
 
 def test_slice_concat_roundtrip_gradient():
     x = _leaf(np.arange(12.0).reshape(4, 3))
-    parts = [take_slice(x, 0, 0, 2), take_slice(x, 0, 2, 4)]
-    y = concat(parts, axis=0)
+    # the slices are reassembled by padding each back to full size and adding
+    y = pad_slice(take_slice(x, 0, 0, 2), x.shape, 0, 0) + pad_slice(take_slice(x, 0, 2, 4),
+                                                                    x.shape, 0, 2)
     g = grad(asum(mul(y, y)), [x])[0]
     np.testing.assert_allclose(g.data, 2 * x.data)
 
