@@ -8,15 +8,16 @@ Every artifact is written through `atomic_write`.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .data import check_end
+from .data import _read_exact, check_end
 from .errors import DataFormatError
-from .models import ArchSpec
+from .models import ArchSpec, InitDistribution, init_params
 from .tensor import ParamSet, Tensor
 
 from .distill import SyntheticDataset
@@ -66,19 +67,11 @@ def _native(width: int) -> np.dtype:
     return np.dtype(np.float32 if width == 4 else np.float64)
 
 
-def _read(f, count: int, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise DataFormatError(f"checkpoint truncated while reading {what}; "
-                              f"missing {count - len(buf)} bytes")
-    return buf
-
-
 def _check_header(f, magic: bytes, path) -> None:
-    got = _read(f, 4, "magic")
+    got = _read_exact(f, 4, path, "magic")
     if got != magic:
         raise DataFormatError(f"{path}: magic {got!r} is not {magic.decode()} (format v{VERSION})")
-    (version,) = struct.unpack("<I", _read(f, 4, "version"))
+    (version,) = struct.unpack("<I", _read_exact(f, 4, path, "version"))
     if version != VERSION:
         raise DataFormatError(f"{path}: unsupported {magic.decode()} version {version}, "
                               f"this build reads v{VERSION}")
@@ -101,34 +94,43 @@ def save_model(path, params: ParamSet, spec: ArchSpec) -> None:
 
 
 def load_model(path, spec: ArchSpec) -> ParamSet:
+    """The parameters saved for `spec`: the entries' names, roles and shapes
+    must be those of `init_params(spec)`, in order."""
+    expected = list(init_params(spec, InitDistribution(seed=0)))
     with open(path, "rb") as f:
         _check_header(f, MODEL_MAGIC, path)
-        digest = _read(f, 32, "architecture digest")
+        digest = _read_exact(f, 32, path, "architecture digest")
         if digest != spec.digest():
             raise DataFormatError(f"{path}: checkpoint was written for a different architecture")
-        (count,) = struct.unpack("<I", _read(f, 4, "entry count"))
+        (count,) = struct.unpack("<I", _read_exact(f, 4, path, "entry count"))
+        if count != len(expected):
+            raise DataFormatError(f"{path}: entry count {count} at byte 40, expected {len(expected)}")
         entries = []
-        for index in range(count):
-            (name_len,) = struct.unpack("<H", _read(f, 2, "name length"))
+        for index, (want_name, want, want_role) in enumerate(expected):
+            (name_len,) = struct.unpack("<H", _read_exact(f, 2, path, "name length"))
             offset = f.tell()
             try:
-                name = _read(f, name_len, "name").decode("utf-8")
+                name = _read_exact(f, name_len, path, "name").decode("utf-8")
             except UnicodeDecodeError:
                 raise DataFormatError(f"{path}: entry {index}: name at byte {offset} "
                                       f"is not UTF-8") from None
-            offset = f.tell()
-            role_code, width, ndim = struct.unpack("<BBB", _read(f, 3, "entry header"))
+            header = f.tell()
+            role_code, width, ndim = struct.unpack("<BBB", _read_exact(f, 3, path, "entry header"))
             if role_code not in _ROLE_NAMES:
                 raise DataFormatError(f"{path}: entry {index} ({name}): unknown role code "
-                                      f"{role_code} at byte {offset}")
+                                      f"{role_code} at byte {header}")
             if width not in _DTYPE_BY_WIDTH:
                 raise DataFormatError(f"{path}: entry {index} ({name}): unsupported precision "
-                                      f"byte {width} at byte {offset + 1}")
-            shape = struct.unpack(f"<{ndim}I", _read(f, 4 * ndim, "shape"))
-            raw = _read(f, width * int(np.prod(shape)) if shape else width, f"tensor {name}")
+                                      f"byte {width} at byte {header + 1}")
+            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, path, "shape"))
+            role = _ROLE_NAMES[role_code]
+            if (name, role, shape) != (want_name, want_role, want.shape):
+                raise DataFormatError(f"{path}: entry {index} at byte {offset}: {name!r} ({role}, "
+                                      f"shape {list(shape)}) is not {want_name!r} ({want_role}, "
+                                      f"shape {list(want.shape)})")
+            raw = _read_exact(f, width * math.prod(shape), path, f"tensor {name}")
             arr = np.frombuffer(raw, dtype=_DTYPE_BY_WIDTH[width]).reshape(shape)
-            entries.append((name, Tensor(arr.astype(_native(width)), requires_grad=True),
-                            _ROLE_NAMES[role_code]))
+            entries.append((name, Tensor(arr.astype(_native(width)), requires_grad=True), role))
         check_end(f, path, "the last tensor")
     return ParamSet(entries)
 
@@ -158,21 +160,23 @@ def save_synthetic(path, syn: SyntheticDataset) -> None:
 def load_synthetic(path) -> SyntheticDataset:
     with open(path, "rb") as f:
         _check_header(f, SYN_MAGIC, path)
-        (width,) = struct.unpack("<B", _read(f, 1, "precision"))
+        (width,) = struct.unpack("<B", _read_exact(f, 1, path, "precision"))
         if width not in _DTYPE_BY_WIDTH:
             raise DataFormatError(f"{path}: unsupported precision byte {width}")
-        chw = struct.unpack("<III", _read(f, 12, "sample shape"))
-        (n_classes,) = struct.unpack("<I", _read(f, 4, "class count"))
-        sizes = []
+        chw = struct.unpack("<III", _read_exact(f, 12, path, "sample shape"))
+        (n_classes,) = struct.unpack("<I", _read_exact(f, 4, path, "class count"))
+        sizes: dict[int, int] = {}
         for _ in range(n_classes):
-            c, m_c = struct.unpack("<II", _read(f, 8, "class size"))
+            offset = f.tell()
+            c, m_c = struct.unpack("<II", _read_exact(f, 8, path, "class size"))
             if m_c < 1:
                 raise DataFormatError(f"{path}: class {c} has zero synthetic samples")
-            sizes.append((c, m_c))
+            if c in sizes:
+                raise DataFormatError(f"{path}: class {c} listed twice, again at byte {offset}")
+            sizes[c] = m_c
         buckets = {}
-        per_sample = int(np.prod(chw))
-        for c, m_c in sizes:
-            raw = _read(f, width * m_c * per_sample, f"class {c} tensor")
+        for c, m_c in sizes.items():
+            raw = _read_exact(f, width * m_c * math.prod(chw), path, f"class {c} tensor")
             arr = np.frombuffer(raw, dtype=_DTYPE_BY_WIDTH[width]).reshape(m_c, *chw)
             buckets[c] = Tensor(arr.astype(_native(width)), requires_grad=True)
         check_end(f, path, "the last tensor")

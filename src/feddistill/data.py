@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -57,12 +58,15 @@ def class_index(data: LabeledDataset) -> list[np.ndarray]:
 # ---- IDX format ----------------------------------------------------------------
 
 
-def _read_exact(f, count: int, path: str, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise DataFormatError(
-            f"{path}: truncated while reading {what}; missing {count - len(buf)} bytes")
-    return buf
+def _read_exact(f, count: int, path, what: str) -> bytes:
+    """`count` bytes of `what`, checked against the bytes left before reading,
+    so no declared size can make a loader allocate more than the file holds."""
+    offset = f.tell()
+    left = os.fstat(f.fileno()).st_size - offset
+    if count > left:
+        raise DataFormatError(f"{path}: truncated while reading {what} at byte {offset}; "
+                              f"missing {count - left} bytes")
+    return f.read(count)
 
 
 def check_end(f, path, what: str) -> None:

@@ -13,7 +13,8 @@ gradient on synthetic data must be taken with graph retention.
 The first-order loss gradient and the match update run the same fixed-shape
 graph thousands of times.  Each records its kernels once per key into a
 `Tape` kept on the `ArchSpec` (`spec.tapes`) and replays it afterwards,
-keyed by `models._tape_key`.
+keyed by `models._tape_key`.  The match update replays once per group of
+classes that share a bucket shape, stacked on a leading group axis.
 """
 from __future__ import annotations
 
@@ -25,10 +26,11 @@ from typing import Mapping
 import numpy as np
 
 from .data import ClassBatchSampler, LabeledDataset, class_index
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .models import (
     ArchSpec,
     InitDistribution,
+    _eval_rows,
     _tape_key,
     check_labels,
     cross_entropy,
@@ -254,62 +256,92 @@ def match_step(params: ParamSet, spec: ArchSpec,
     For every class with a real batch: take the (possibly pre-computed) real
     gradient as a constant target, recompute the synthetic-bucket gradient
     with graph retention, and descend `cfg.syn_steps` times with `cfg.syn_lr`
-    on the distance, via the hypergradient.  Model parameters are never
-    touched.
+    on the distance, via the hypergradient.  Classes whose buckets share a
+    shape are matched as one group (`_match_groups`).  Model parameters are
+    never touched.
     """
+    targets: dict[int, GradSet] = {}
     for c in sorted(real_batch_by_class):
-        bucket = syn.buckets.get(c)
-        if bucket is None:
+        if c not in syn.buckets:
             syn.match_skips += 1
             log.warning("no synthetic bucket for class %d; matching skipped", c)
-            continue
-        if real_grads is not None and c in real_grads:
-            g_real = real_grads[c]
+        elif real_grads is not None and c in real_grads:
+            targets[c] = real_grads[c]
         else:
-            g_real = class_gradient(params, spec, real_batch_by_class[c], c)
-        for _ in range(cfg.syn_steps):
-            pixel_grad = _match_gradient(params, spec, g_real, bucket, c)
-            new_data = bucket.data - bucket.data.dtype.type(cfg.syn_lr) * pixel_grad.data
-            bucket = Tensor(new_data, requires_grad=True)
-        syn.buckets[c] = bucket
+            targets[c] = class_gradient(params, spec, real_batch_by_class[c], c)
+    for _ in range(cfg.syn_steps):
+        buckets = {c: syn.buckets[c] for c in targets}
+        pixel_grads: dict[int, Tensor] = {}
+        try:
+            for group in _match_groups(spec, buckets):
+                pixel_grads.update(zip(group, _match_gradient(params, spec, targets, buckets,
+                                                              group)))
+        except NumericError:
+            for c in targets:        # name the first class, in class order, that fails alone
+                _match_gradient(params, spec, targets, buckets, [c])
+            raise
+        for c, bucket in buckets.items():
+            new_data = bucket.data - bucket.data.dtype.type(cfg.syn_lr) * pixel_grads[c].data
+            syn.buckets[c] = Tensor(new_data, requires_grad=True)
     return syn
 
 
-def _match_gradient(params: ParamSet, spec: ArchSpec, g_real: GradSet, bucket: Tensor,
-                    label: int) -> Tensor:
-    """hypergrad of grad_distance(g_real, class gradient of the bucket) w.r.t.
-    the bucket.  Recorded once per key into `spec.tapes`, with the labels as
-    an input, so one tape serves every class of a bucket shape; on a replay,
-    `hypergrad` receives a one-node graph (distance <- bucket) whose VJP
-    replays the recorded reverse steps."""
-    labels = np.full(bucket.shape[0], label, dtype=np.int64)
-    context = f"class {label} gradient"
+def _match_groups(spec: ArchSpec, buckets: Mapping[int, Tensor]) -> list[list[int]]:
+    """The classes, in class order, grouped by bucket shape: a group of m-row
+    buckets holds at most `_eval_rows // m` classes, and at least one."""
+    by_shape: dict[tuple, list[int]] = {}
+    for c, bucket in buckets.items():
+        by_shape.setdefault((bucket.shape, bucket.dtype), []).append(c)
+    groups = []
+    for (shape, dtype), classes in by_shape.items():
+        size = max(1, _eval_rows(spec, dtype.itemsize) // shape[0])
+        groups += [classes[i:i + size] for i in range(0, len(classes), size)]
+    return groups
 
-    def interpret(rec=None):
-        g_syn = loss_gradient(params, spec, bucket, labels, context, create_graph=True)
-        distance = grad_distance(g_real, g_syn)
-        if rec is not None:
-            rec.split()
-        return distance, hypergrad(distance, [bucket])[0]
 
-    if _recorder() is not None:
-        return interpret()[1]
-    inputs = ([t.data for t in params.tensors()] + [g.data for g in g_real.grads]
-              + [bucket.data, labels])
-    key = _tape_key("match", params, inputs[len(params):])
+def _match_gradient(params: ParamSet, spec: ArchSpec, g_reals: Mapping[int, GradSet],
+                    buckets: Mapping[int, Tensor], classes: list[int]) -> list[Tensor]:
+    """For each of `classes`, whose buckets share a shape: hypergrad of
+    grad_distance(g_real, class gradient of the bucket) w.r.t. the bucket.
+
+    Recorded once per key into `spec.tapes` by interpreting the first class,
+    with the labels as an input, so one tape serves every class of a bucket
+    shape.  The other classes replay it once forward and once in reverse,
+    their buckets, labels and real gradients stacked on a leading group axis
+    (a group of one is not stacked).  Each class's `hypergrad` then receives
+    a one-node graph (distance <- bucket) whose VJP returns the class's slice
+    of the reverse replay."""
+    labels = {c: np.full(buckets[c].shape[0], c, dtype=np.int64) for c in classes}
+    inputs = {c: [g.data for g in g_reals[c].grads] + [buckets[c].data, labels[c]]
+              for c in classes}
+    param_data = [t.data for t in params.tensors()]
+    key = _tape_key("match", params, inputs[classes[0]])
     tape = spec.tapes.get(key)
+    out = []
     if tape is None:
-        with Recorder(inputs) as rec:
-            distance, pixel_grad = interpret(rec)
-        spec.tapes[key] = rec.finish([distance], [pixel_grad])
-        return pixel_grad
-    check_labels(labels, (bucket.shape[0], spec.class_count))
-    (dist,), slots = tape.run(inputs, context)
-
-    def vjp(g):
-        return (Tensor(tape.reverse(slots, g.data)[0]),)
-
-    return hypergrad(_node(dist, (bucket,), vjp), [bucket])[0]
+        c, classes = classes[0], classes[1:]
+        with Recorder(param_data + inputs[c]) as rec:
+            g_syn = loss_gradient(params, spec, buckets[c], labels[c], f"class {c} gradient",
+                                  create_graph=True)
+            distance = grad_distance(g_reals[c], g_syn)
+            rec.split()
+            pixel_grad = hypergrad(distance, [buckets[c]])[0]
+        spec.tapes[key] = tape = rec.finish([distance], [pixel_grad])
+        out.append(pixel_grad)
+        if not classes:
+            return out
+    group = [inputs[c] for c in classes]
+    stacked = [np.stack(arrays) for arrays in zip(*group)] if len(group) > 1 else group[0]
+    check_labels(stacked[-1].reshape(-1), (stacked[-1].size, spec.class_count))
+    (dist,), slots = tape.run(param_data + stacked,
+                              f"class {', '.join(map(str, classes))} gradient")
+    # hypergrad seeds each one-node graph with one, as this reverse replay is seeded
+    (pixel,) = tape.reverse(slots, np.ones((), dtype=dist.dtype))
+    dist, pixel = dist.reshape(-1), pixel.reshape((len(classes),) + buckets[classes[0]].shape)
+    for i, c in enumerate(classes):
+        node = _node(dist[i, ...], (buckets[c],), lambda g, p=pixel[i]: (Tensor(p),))
+        out.append(hypergrad(node, [buckets[c]])[0])
+    return out
 
 
 # ---- standalone distillation and fine-tuning ------------------------------------

@@ -252,7 +252,7 @@ def forward(params: ParamSet, spec: ArchSpec, batch: Tensor) -> Tensor:
 
 def log_softmax(logits: Tensor) -> Tensor:
     # subtracting the (constant) row max only stabilizes; gradients unchanged
-    row_max = constant(lambda x: x.max(axis=1, keepdims=True), logits)
+    row_max = constant(lambda x: x.max(axis=-1, keepdims=True), logits)
     z = logits - expand(row_max, logits.shape)
     lse = log(asum(texp(z), axes=(1,), keepdims=True))
     return z - expand(lse, z.shape)
@@ -281,7 +281,8 @@ def check_labels(labels: np.ndarray, logits_shape: tuple[int, int]) -> None:
 def _eval_rows(spec: ArchSpec, itemsize: int) -> int:
     """Rows per evaluation chunk: the most for which the largest per-sample
     forward array (an activation or an im2col patch matrix) stays within
-    EVAL_CHUNK_BYTES, and at least two (see _chunk_bounds)."""
+    EVAL_CHUNK_BYTES, and at least two (see _chunk_bounds).  It also bounds
+    the rows of a stacked match group (`distill._match_groups`)."""
     c, h, w = spec.input_shape
     if spec.kind == "convnet":
         widest = 0

@@ -20,11 +20,16 @@ ReLU mask, a row maximum, one-hot labels) is built with `constant`, whose
 kernel is recorded too.  Inside a `Recorder` block each kernel call is
 appended to a `Tape`, the VJP ops that `grad` runs included; `Tape.run`
 replays them over new input arrays without building any tensor.
+A kernel treats an input's leading axes beyond its recorded rank as group
+axes, as ufuncs and `@` do: a tape replays over inputs stacked on a leading
+axis, and each slice equals a replay over that slice alone, bit for bit.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -303,17 +308,21 @@ def relu(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     orig = a.data.shape
-    return _op(lambda x: x.reshape(shape), (a,), lambda g: (reshape(g, orig),))
+    shape, rank = tuple(shape), len(orig)
+    return _op(lambda x: x.reshape(x.shape[:x.ndim - rank] + shape), (a,),
+               lambda g: (reshape(g, orig),))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        inv = None
-    else:
-        axes = tuple(axes)
-        inv = tuple(int(i) for i in np.argsort(axes))
-    return _op(lambda x: np.ascontiguousarray(x.transpose(axes)), (a,),
-               lambda g: (transpose(g, inv),))
+    rank = a.data.ndim
+    full = tuple(reversed(range(rank))) if axes is None else tuple(axes)
+    inv = None if axes is None else tuple(int(i) for i in np.argsort(full))
+
+    def kernel(x):
+        groups = x.ndim - rank
+        return np.ascontiguousarray(x.transpose(tuple(range(groups)) + tuple(groups + i for i in full)))
+
+    return _op(kernel, (a,), lambda g: (transpose(g, inv),))
 
 
 def _normalize_axes(axes, ndim: int) -> tuple[int, ...]:
@@ -339,7 +348,8 @@ def asum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
         gk = g if keepdims else reshape(g, kd_shape)
         return (expand(gk, full),)
 
-    return _op(lambda x: np.ascontiguousarray(x).sum(axis=axs, keepdims=keepdims), (a,), vjp)
+    from_end = tuple(i - len(full) for i in axs)       # the same axes behind any group axes
+    return _op(lambda x: np.ascontiguousarray(x).sum(axis=from_end, keepdims=keepdims), (a,), vjp)
 
 
 def window_sum(x6: Tensor) -> Tensor:
@@ -365,16 +375,24 @@ def window_sum(x6: Tensor) -> Tensor:
 
 def _window_sum(x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x)
-    kh, w, kw = x.shape[3], x.shape[4], x.shape[5]
+    kh, w, kw = x.shape[-3:]
     if w == 1 or kw >= 8:
-        return x.sum(axis=(3, 5))
-    data = np.zeros(x.shape[:3] + x.shape[4:5], dtype=x.dtype)
+        return x.sum(axis=(-3, -1))
+    data = np.zeros(x.shape[:-3] + x.shape[-2:-1], dtype=x.dtype)
     for i in range(kh):
-        row = x[:, :, :, i, :, 0].copy()
+        row = x[..., i, :, 0].copy()
         for j in range(1, kw):
-            row += x[:, :, :, i, :, j]
+            row += x[..., i, :, j]
         data += row
     return data
+
+
+def _broadcast(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # the kernel of `expand`; Recorder.finish drops it before binary ufuncs
+    return np.broadcast_to(x, x.shape[:x.ndim - len(shape)] + shape)
+
+
+_BINARY_UFUNCS = (np.add, np.subtract, np.multiply, np.true_divide)
 
 
 def expand(a: Tensor, shape) -> Tensor:
@@ -393,7 +411,7 @@ def expand(a: Tensor, shape) -> Tensor:
     def vjp(g):
         return (asum(g, axes=exp_axes, keepdims=True) if exp_axes else g,)
 
-    return _op(lambda x: np.broadcast_to(x, shape), (a,), vjp)
+    return _op(functools.partial(_broadcast, shape=shape), (a,), vjp)
 
 
 def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
@@ -443,13 +461,17 @@ def im2col(x: Tensor, ksize: int, stride: int = 1, padding: int = 0) -> Tensor:
     b, c, h, w, oh, ow = _conv_geometry(x.data.shape, ksize, stride, padding)
 
     def kernel(arr):
-        # channels-last: k*k strided copies fill [B,OH,OW,C,k,k]; its reshape is free
-        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=arr.dtype)
-        xp[:, padding:padding + h, padding:padding + w] = arr.transpose(0, 2, 3, 1)
-        cols = np.empty((b, oh, ow, c, ksize, ksize), dtype=arr.dtype)
+        # channels-last: k*k strided copies fill [N,OH,OW,C,k,k]; its reshape is free.
+        # Group axes join the batch axis: every patch is a copy of its own pixels.
+        lead = arr.shape[:-4]
+        n = b * math.prod(lead)
+        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=arr.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = \
+            arr.reshape(n, c, h, w).transpose(0, 2, 3, 1)
+        cols = np.empty((n, oh, ow, c, ksize, ksize), dtype=arr.dtype)
         for ki, kj in itertools.product(range(ksize), repeat=2):
             cols[..., ki, kj] = xp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
-        return cols.reshape(b * oh * ow, c * ksize * ksize)
+        return cols.reshape(lead + (b * oh * ow, c * ksize * ksize))
 
     def vjp(g):
         return (col2im(g, (b, c, h, w), ksize, stride, padding),)
@@ -464,12 +486,15 @@ def col2im(cols: Tensor, image_shape, ksize: int, stride: int = 1, padding: int 
         raise ShapeError(f"col2im: got {cols.shape}, expected {(b * oh * ow, c * ksize * ksize)}")
 
     def kernel(arr):
-        # channels-last adds onto +0, (ki, kj) in row-major order, then one NCHW copy
-        g5 = arr.reshape(b, oh, ow, c, ksize * ksize)
-        buf = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=arr.dtype)
+        # channels-last adds onto +0, (ki, kj) in row-major order, then one NCHW copy;
+        # group axes join the batch axis
+        lead = arr.shape[:-2]
+        g5 = arr.reshape(-1, oh, ow, c, ksize * ksize)
+        buf = np.zeros((g5.shape[0], h + 2 * padding, w + 2 * padding, c), dtype=arr.dtype)
         for ki, kj in itertools.product(range(ksize), repeat=2):
             buf[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += g5[..., ki * ksize + kj]
-        return np.ascontiguousarray(buf[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
+        out = np.ascontiguousarray(buf[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
+        return out.reshape(lead + (b, c, h, w))
 
     def vjp(g):
         return (im2col(g, ksize, stride, padding),)
@@ -689,8 +714,9 @@ class Tape:
     Slot 0 receives the results of `check_finite` steps, slots 1..n the
     inputs; constants sit in their slots from the start.  `run` replays the
     steps before the split and `reverse` the rest, seeded with a cotangent.
-    Each step runs the same kernel on the same arrays as the interpreter did,
-    so a replay is bitwise equal to interpreting the call again."""
+    Each step runs the same kernel on the same values as the interpreter did
+    (an elided `expand` leaves the broadcast to its readers), so a replay is
+    bitwise equal to interpreting the call again."""
 
     def __init__(self, template: list, n_inputs: int, steps: list, split: int,
                  outputs: list, seed_slot: int | None, reverse_outputs: list):
@@ -743,8 +769,9 @@ class Recorder:
     `inputs` are the arrays that change from call to call: a leaf whose data
     is one of them becomes that input; any other leaf is captured as a
     constant.  `finish` drops the steps no output needs (such as VJP outputs
-    for parents that need no gradient), schedules each slot's release after
-    its last use, and returns the `Tape`.  Recorders do not nest."""
+    for parents that need no gradient) and the expands its readers can
+    broadcast themselves, schedules each slot's release after its last use,
+    and returns the `Tape`.  Recorders do not nest."""
 
     _serials = itertools.count(1)
 
@@ -812,6 +839,7 @@ class Recorder:
                 live.update(ins)
                 kept.append((position, kernel, ins, out))
         kept.reverse()
+        kept = self._elide_expands(kept, keep)
         split = len(self._steps) if self._split is None else self._split
         n_forward = sum(1 for position, *_ in kept if position < split)
 
@@ -838,3 +866,23 @@ class Recorder:
 
         return Tape(template, len(self._inputs), steps, n_forward,
                     flagged(outs, outputs), self._seed_slot, flagged(rev, reverse_outputs))
+
+    @staticmethod
+    def _elide_expands(kept: list, keep: set) -> list:
+        """Drop each `expand` step that is no tape output and whose every
+        reader is a binary ufunc whose other operand (of the full shape, as
+        binary ops are strict) is not itself an elided expand; its readers
+        take the un-expanded array and broadcast it to the same values."""
+        readers: dict[int, list] = {}
+        for _, kernel, ins, _ in kept:
+            for slot in ins:
+                readers.setdefault(slot, []).append((kernel, ins))
+        source: dict[int, int] = {}
+        for _, kernel, ins, out in kept:
+            if getattr(kernel, "func", None) is _broadcast and out not in keep and all(
+                    r_kernel in _BINARY_UFUNCS and r_ins.count(out) == 1
+                    and r_ins[1 - r_ins.index(out)] not in source
+                    for r_kernel, r_ins in readers[out]):
+                source[out] = ins[0]
+        return [(position, kernel, tuple(source.get(i, i) for i in ins), out)
+                for position, kernel, ins, out in kept if out not in source]

@@ -134,6 +134,18 @@ def test_numeric_abort_exit_code(tmp_path, capsys):
     assert "numeric abort" in err and "round" in err
 
 
+def test_a_non_finite_grouped_match_update_exits_3(tmp_path, capsys):
+    # the pixel step overflows, so the next grouped match replay fails
+    config = _config(
+        tmp_path,
+        distill={"enabled": True, "rounds": 3, "local_steps": 2, "syn_lr": 1e38,
+                 "model_lr": 0.1, "real_batch_per_class": 16, "scale_s": 20.0},
+        baselines={"retrain": False, "sga_original": False})
+    assert main(["run", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric abort: round 0, client 1: non-finite values in class 0 gradient" in err
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv("FEDDISTILL_OUTPUT_DIR", str(override))
@@ -307,7 +319,14 @@ def _set_byte(offset_of, value):
     ("model.qdmd", lambda raw: raw + b"junk", "4 trailing bytes"),
     ("model.qdmd", lambda raw: raw[:-4], "truncated"),
     ("synthetic_client0.qdsy", lambda raw: raw + b"junk", "4 trailing bytes"),
-], ids=["role-code", "precision", "name", "qdmd-trailing", "qdmd-truncated", "qdsy-trailing"])
+    ("model.qdmd", lambda raw: raw[:46] + b"layer0.xeight" + raw[59:],
+     "entry 0 at byte 46: 'layer0.xeight' (linear, shape [4, 8]) is not 'layer0.weight'"),
+    ("synthetic_client0.qdsy", lambda raw: raw[:9] + b"\xff" * 12 + raw[21:],
+     "truncated while reading class 0 tensor at byte 49"),
+    ("synthetic_client0.qdsy", lambda raw: raw[:33] + bytes(4) + raw[37:],
+     "class 0 listed twice, again at byte 33"),
+], ids=["role-code", "precision", "name", "qdmd-trailing", "qdmd-truncated", "qdsy-trailing",
+        "qdmd-entry-name", "qdsy-huge-shape", "qdsy-duplicate-class"])
 def test_corrupt_checkpoints_exit_4(served_run, tmp_path, monkeypatch, capsys, name, corrupt,
                                     message):
     out = tmp_path / "out"
@@ -401,6 +420,18 @@ def test_idx_header_with_a_bad_magic_exits_4(tmp_path, capsys):
     assert main(["validate", str(path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "images.idx: bad magic 0x00001234" in err
+
+
+def test_idx_image_header_larger_than_the_file_exits_4(tmp_path, capsys):
+    dataset = _idx_dataset(tmp_path)
+    with open(dataset["train_images"], "r+b") as f:
+        f.write(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF))
+    path = _config(tmp_path, dataset=dataset, unlearn={})
+    assert main(["run", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "Traceback" not in err
+    assert (f"{tmp_path / 'images.idx'}: truncated while reading 4294967295 images of "
+            f"4294967295x4294967295 at byte 16") in err
 
 
 @pytest.mark.parametrize("labels, arch", [

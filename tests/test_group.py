@@ -1,0 +1,232 @@
+"""Grouped match replay: a match tape recorded for one class replays over the
+buckets, labels and real gradients of several classes stacked on a leading
+group axis, and each class's slice equals its own replay bit for bit.  Expand
+steps whose readers broadcast by themselves leave the tapes."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from feddistill.distill import (
+    DistillConfig,
+    SyntheticDataset,
+    _match_gradient,
+    class_gradient,
+    grad_distance,
+    match_step,
+)
+from feddistill.errors import NumericError
+from feddistill.models import ArchSpec, InitDistribution, init_params
+from feddistill.tensor import (
+    Recorder,
+    Tensor,
+    _broadcast,
+    asum,
+    expand,
+    hypergrad,
+    matmul,
+    mul,
+    reshape,
+)
+
+# the architectures of the benchmark workloads and the digest configs
+ARCHS = {
+    "mlp": dict(kind="mlp", input_shape=(1, 4, 4), class_count=3, hidden=(16,)),
+    "conv16": dict(kind="convnet", input_shape=(1, 16, 16), class_count=10, blocks=2,
+                   filters=16),
+    "conv8x8": dict(kind="convnet", input_shape=(1, 8, 8), class_count=4, blocks=3, filters=4),
+}
+# (architecture, bucket rows): fl_mlp and blobs_small hold one-row buckets,
+# fl_conv and the 3-block digest convnet two-row ones
+BUCKETS = [("mlp", 1), ("mlp", 3), ("conv16", 1), ("conv16", 2), ("conv8x8", 2)]
+GROUP_AXIS_KERNELS = {
+    "reshape.<locals>.<lambda>", "transpose.<locals>.kernel", "asum.<locals>.<lambda>",
+    "_broadcast", "_window_sum", "im2col.<locals>.kernel", "col2im.<locals>.kernel",
+    "log_softmax.<locals>.<lambda>", "_matmul",
+}
+_CACHED: dict = {}
+
+
+def _class_inputs(spec, params, rows, k, seed):
+    """Real gradients, buckets and labels of `k` classes (labels cycle)."""
+    rng = np.random.default_rng(seed)
+    dtype = params.tensors()[0].dtype
+    g_reals, buckets, labels = [], [], []
+    for i in range(k):
+        label = i % spec.class_count
+        real = Tensor(rng.normal(size=(4,) + spec.input_shape), dtype=dtype)
+        g_reals.append(class_gradient(params, spec, real, label))
+        buckets.append(Tensor(rng.normal(size=(rows,) + spec.input_shape), dtype=dtype,
+                              requires_grad=True))
+        labels.append(label)
+    return g_reals, buckets, labels
+
+
+def _match_tape(arch, rows, dtype):
+    """A fresh spec, its parameters, and the match tape recorded for one
+    class with `rows`-row buckets."""
+    key = (arch, rows, np.dtype(dtype).name)
+    if key not in _CACHED:
+        spec = ArchSpec(**ARCHS[arch])
+        params = init_params(spec, InitDistribution(seed=3), dtype=dtype)
+        g_reals, buckets, labels = _class_inputs(spec, params, rows, 1, seed=0)
+        _match_gradient(params, spec, dict(zip(labels, g_reals)), dict(zip(labels, buckets)),
+                        labels)
+        (tape,) = [t for k, t in spec.tapes.items() if k[0] == "match"]
+        _CACHED[key] = spec, params, tape
+    return _CACHED[key]
+
+
+def _is_expand(kernel) -> bool:
+    return getattr(kernel, "func", None) is _broadcast
+
+
+def _kernel_name(kernel) -> str:
+    return "_broadcast" if _is_expand(kernel) else kernel.__qualname__
+
+
+def _lockstep(arch, rows, dtype, k, seed):
+    """Replay the match tape step by step for each of `k` classes alone and
+    for the `k` classes stacked, and return the steps whose stacked output
+    differs from the per-class outputs, and the kernels that saw a group axis.
+    A stacked slot holds one slice per class; a shared one equals every
+    class's value."""
+    spec, params, tape = _match_tape(arch, rows, dtype)
+    g_reals, buckets, labels = _class_inputs(spec, params, rows, k, seed)
+    shared = [t.data for t in params.tensors()]
+    per_class = [shared + [g.data for g in gr.grads] + [b.data, np.full(rows, y)]
+                 for gr, b, y in zip(g_reals, buckets, labels)]
+    stacked_inputs = shared + [np.stack(a) for a in list(zip(*per_class))[len(shared):]]
+    runs = []
+    for inputs in per_class + [stacked_inputs]:
+        slots = list(tape._template)
+        slots[1:1 + len(inputs)] = inputs
+        slots[tape._seed_slot] = np.ones((), dtype=dtype)
+        runs.append(slots)
+    alone, grouped = runs[:-1], runs[-1]
+    mismatches, seen = [], set()
+    for kernel, ins, out, _ in tape._forward + tape._reverse:
+        if out == 0:                                        # check_finite
+            continue
+        if any(grouped[i].ndim > alone[0][i].ndim for i in ins):
+            seen.add(_kernel_name(kernel))
+        for slots in runs:
+            slots[out] = kernel(*[slots[i] for i in ins])
+        value = grouped[out]
+        stacked = value.ndim > alone[0][out].ndim
+        for c, slots in enumerate(alone):
+            got = value[c] if stacked else value
+            if got.shape != slots[out].shape or got.tobytes() != slots[out].tobytes():
+                mismatches.append((_kernel_name(kernel), [slots[i].shape for i in ins]))
+                break
+    return mismatches, seen
+
+
+@pytest.mark.parametrize("arch, rows", BUCKETS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(derandomize=True, database=None, max_examples=4, deadline=None)
+@given(k=st.sampled_from([1, 2, 3, 10]), seed=st.integers(0, 2 ** 16))
+def test_every_match_kernel_is_group_invariant(arch, rows, dtype, k, seed):
+    """Every step of the match tape, given its inputs stacked on a leading
+    group axis, equals the per-class steps bit for bit: the reshapes,
+    transposes, sums, expands, window sums, patch kernels, the log-softmax
+    row max and the matrix products, at the shapes of every workload and
+    digest architecture, one-row buckets included.  No shape is excluded."""
+    mismatches, _ = _lockstep(arch, rows, dtype, k, seed)
+    assert mismatches == []
+
+
+def test_the_group_property_reaches_every_group_axis_kernel():
+    _, mlp = _lockstep("mlp", 1, np.float32, 2, seed=1)
+    _, conv = _lockstep("conv8x8", 2, np.float32, 2, seed=1)
+    assert mlp | conv >= GROUP_AXIS_KERNELS
+    assert "_broadcast" not in mlp                     # every MLP expand is elided
+
+
+def _interpreted(params, spec, g_real, bucket, label):
+    g_syn = class_gradient(params, spec, bucket, label, create_graph=True)
+    return hypergrad(grad_distance(g_real, g_syn), [bucket])[0].data
+
+
+@pytest.mark.parametrize("arch", ["mlp", "conv8x8"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grouped_match_step_equals_the_interpreter(arch, dtype):
+    spec = ArchSpec(**dict(ARCHS[arch], class_count=4))
+    params = init_params(spec, InitDistribution(seed=5), dtype=dtype)
+    rng = np.random.default_rng(8)
+    sizes = [1, 1, 2, 3]
+    syn = SyntheticDataset({c: Tensor(rng.normal(size=(m,) + spec.input_shape), dtype=dtype,
+                                      requires_grad=True) for c, m in enumerate(sizes)})
+    cfg = DistillConfig(syn_lr=0.5)
+    replays = []
+    for _ in range(3):
+        batches = {c: Tensor(rng.normal(size=(4,) + spec.input_shape), dtype=dtype)
+                   for c in range(4)}
+        grads = {c: class_gradient(params, spec, batches[c], c) for c in range(4)}
+        expected = {c: b.data - b.data.dtype.type(0.5) * _interpreted(params, spec, grads[c], b, c)
+                    for c, b in syn.buckets.items()}
+        match_step(params, spec, batches, syn, cfg, real_grads=grads)
+        for c in range(4):
+            assert syn.buckets[c].data.tobytes() == expected[c].tobytes()
+        replays.append({k[2][-2][0][0]: t.replays for k, t in spec.tapes.items()
+                        if k[0] == "match"})
+    # the first step records each shape's tape (class 1 then replays alone);
+    # after that each bucket shape replays once per step
+    assert replays == [{1: 1, 2: 0, 3: 0}, {1: 2, 2: 1, 3: 1}, {1: 3, 2: 2, 3: 2}]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({2}, "class 2"),                # the second class of a stacked group
+    ({2, 3}, "class 2"),
+    ({1, 2}, "class 1"),             # class 1's group replays after class 2's
+])
+def test_a_nan_in_a_group_names_the_first_failing_class(bad, message):
+    spec = ArchSpec(**dict(ARCHS["mlp"], class_count=4))
+    params = init_params(spec, InitDistribution(seed=5))
+    rng = np.random.default_rng(2)
+    sizes = [2, 1, 2, 1]              # groups by shape: classes (0, 2), then (1, 3)
+    batches = {c: Tensor(rng.normal(size=(4,) + spec.input_shape), dtype=np.float32)
+               for c in range(4)}
+    grads = {c: class_gradient(params, spec, batches[c], c) for c in range(4)}
+
+    def syn(nan_classes):
+        buckets = {}
+        for c, m in enumerate(sizes):
+            data = rng.normal(size=(m,) + spec.input_shape).astype(np.float32)
+            if c in nan_classes:
+                data[-1, 0, 0, 0] = np.nan
+            buckets[c] = Tensor(data, requires_grad=True)
+        return SyntheticDataset(buckets)
+
+    match_step(params, spec, batches, syn(()), DistillConfig(), real_grads=grads)  # records
+    with pytest.raises(NumericError, match=f"^non-finite values in {message} gradient$"):
+        match_step(params, spec, batches, syn(bad), DistillConfig(), real_grads=grads)
+
+
+def _tape_of(build):
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    row = Tensor(np.array([[1.0, -2.0, 0.5]]))
+    with Recorder([x.data, row.data]) as rec:
+        out = build(x, row)
+    tape = rec.finish([out])
+    kernels = [kernel for kernel, *_ in tape._forward]
+    result = tape.run([x.data, row.data])[0][0]
+    assert result.tobytes() == out.data.tobytes()
+    return sum(map(_is_expand, kernels))
+
+
+@pytest.mark.parametrize("build, expands", [
+    (lambda x, r: mul(x, expand(r, (2, 3))), 0),
+    (lambda x, r: mul(expand(r, (2, 3)), expand(r, (2, 3))), 1),
+    (lambda x, r: mul(expand(r, (2, 3)), x) + expand(r, (2, 3)), 0),
+    (lambda x, r: asum(expand(r, (2, 3)), axes=(0,)), 1),
+    (lambda x, r: reshape(expand(r, (2, 3)), (3, 2)), 1),
+    (lambda x, r: matmul(expand(r, (2, 3)), reshape(x, (3, 2))), 1),
+    (lambda x, r: expand(r, (2, 3)), 1),
+    (lambda x, r: mul(x, expand(r, (2, 3))) + reshape(expand(r, (2, 3)), (2, 3)), 1),
+], ids=["mul", "two-expands", "two-readers", "asum", "reshape", "matmul", "output",
+        "mixed-readers"])
+def test_expands_leave_a_tape_only_before_binary_ufuncs(build, expands):
+    assert _tape_of(build) == expands

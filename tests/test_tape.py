@@ -19,7 +19,17 @@ from feddistill.distill import (
 )
 from feddistill.errors import NumericError
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
-from feddistill.tensor import GradSet, Recorder, Tensor, asum, grad, hypergrad, mul, mul_scalar
+from feddistill.tensor import (
+    GradSet,
+    Recorder,
+    Tensor,
+    _broadcast,
+    asum,
+    grad,
+    hypergrad,
+    mul,
+    mul_scalar,
+)
 from feddistill.unlearn import UnlearnEngine
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -111,7 +121,7 @@ def test_match_replay_equals_the_interpreter(name, dtype):
         g_real = class_gradient(p, spec, real, label)
         bucket = Tensor(rng.normal(size=(2,) + spec.input_shape), requires_grad=True,
                         dtype=dtype)
-        taped = _match_gradient(p, spec, g_real, bucket, label)
+        (taped,) = _match_gradient(p, spec, {label: g_real}, {label: bucket}, [label])
         g_syn = class_gradient(p, spec, bucket, label, create_graph=True)
         (reference,) = hypergrad(grad_distance(g_real, g_syn), [bucket])
         assert taped.data.dtype == reference.data.dtype
@@ -156,10 +166,10 @@ def test_a_nan_input_raises_the_interpreters_error(name):
 
     g_real = class_gradient(params[1], spec, batches[1], 1)
     bucket = Tensor(batches[1].data[:2].copy(), requires_grad=True)
-    _match_gradient(params[1], spec, g_real, bucket, 1)
+    _match_gradient(params[1], spec, {1: g_real}, {1: bucket}, [1])
     bad_bucket = Tensor(bad[2:4].copy(), requires_grad=True)
     with pytest.raises(NumericError, match="^non-finite values in class 1 gradient$"):
-        _match_gradient(params[1], spec, g_real, bad_bucket, 1)
+        _match_gradient(params[1], spec, {1: g_real}, {1: bad_bucket}, [1])
 
 
 def test_replayed_outputs_never_alias_a_constant():
@@ -210,6 +220,9 @@ def test_blobs_small_records_each_key_once(tmp_path, monkeypatch):
     assert replays / (replays + len(tapes)) >= 0.95
     kinds = {key[0] if isinstance(key[0], str) else key[0][0] for key in cfg.arch.tapes}
     assert kinds == {"loss_gradient", "match", "forward"}
+    # every expand of the MLP feeds a binary ufunc, so none is left on a tape
+    assert not any(getattr(kernel, "func", None) is _broadcast
+                   for tape in tapes for kernel, *_ in tape._forward + tape._reverse)
 
 
 def test_each_spec_instance_has_its_own_tapes():
@@ -230,7 +243,7 @@ def test_one_match_tape_serves_every_class():
         g_real = class_gradient(params[0], spec, batches[0], label)
         bucket = Tensor(rng.normal(size=(2,) + spec.input_shape), requires_grad=True,
                         dtype=np.float64)
-        taped = _match_gradient(params[0], spec, g_real, bucket, label)
+        (taped,) = _match_gradient(params[0], spec, {label: g_real}, {label: bucket}, [label])
         g_syn = class_gradient(params[0], spec, bucket, label, create_graph=True)
         (reference,) = hypergrad(grad_distance(g_real, g_syn), [bucket])
         assert taped.data.tobytes() == reference.data.tobytes()
