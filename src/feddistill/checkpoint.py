@@ -2,7 +2,8 @@
 
 Tensors are stored little-endian at their in-memory precision; a save/load
 round trip is bit-exact.  Loaders fail fast on magic/version mismatches,
-unknown codes and bytes after the last tensor, naming the byte offset.
+unknown codes, bytes after the last tensor and contents that do not fit the
+architecture, naming the byte offset.
 Every artifact is written through `atomic_write`.
 """
 from __future__ import annotations
@@ -157,7 +158,9 @@ def save_synthetic(path, syn: SyntheticDataset) -> None:
             f.write(np.ascontiguousarray(syn.buckets[c].data).astype(le).tobytes())
 
 
-def load_synthetic(path) -> SyntheticDataset:
+def load_synthetic(path, arch: ArchSpec) -> SyntheticDataset:
+    """The synthetic set saved for `arch`: its samples must have the shape
+    `arch.input_shape` and its class ids lie in [0, arch.class_count)."""
     with open(path, "rb") as f:
         _check_header(f, SYN_MAGIC, path)
         (width,) = struct.unpack("<B", _read_exact(f, 1, path, "precision"))
@@ -169,6 +172,9 @@ def load_synthetic(path) -> SyntheticDataset:
         for _ in range(n_classes):
             offset = f.tell()
             c, m_c = struct.unpack("<II", _read_exact(f, 8, path, "class size"))
+            if c >= arch.class_count:
+                raise DataFormatError(f"{path}: class {c} at byte {offset} lies outside "
+                                      f"[0, {arch.class_count})")
             if m_c < 1:
                 raise DataFormatError(f"{path}: class {c} has zero synthetic samples")
             if c in sizes:
@@ -179,5 +185,8 @@ def load_synthetic(path) -> SyntheticDataset:
             raw = _read_exact(f, width * m_c * math.prod(chw), path, f"class {c} tensor")
             arr = np.frombuffer(raw, dtype=_DTYPE_BY_WIDTH[width]).reshape(m_c, *chw)
             buckets[c] = Tensor(arr.astype(_native(width)), requires_grad=True)
+        if chw != arch.input_shape:
+            raise DataFormatError(f"{path}: sample shape {list(chw)} at byte 9 is not the "
+                                  f"architecture's {list(arch.input_shape)}")
         check_end(f, path, "the last tensor")
     return SyntheticDataset(buckets)

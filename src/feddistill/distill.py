@@ -11,10 +11,10 @@ gradient computation with respect to the synthetic pixels, so the model
 gradient on synthetic data must be taken with graph retention.
 
 The first-order loss gradient and the match update run the same fixed-shape
-graph thousands of times.  Each records its kernels once per key into a
-`Tape` kept on the `ArchSpec` (`spec.tapes`) and replays it afterwards,
-keyed by `models._tape_key`.  The match update replays once per group of
-classes that share a bucket shape, stacked on a leading group axis.
+graph thousands of times.  Each is a taped call (`tensor.tape_call`): its
+kernels are recorded once per key into a `Tape` kept on the `ArchSpec`
+(`spec.tapes`) and replayed afterwards.  The match update replays once per
+group of classes that share a bucket shape, stacked on a leading group axis.
 """
 from __future__ import annotations
 
@@ -26,12 +26,11 @@ from typing import Mapping
 import numpy as np
 
 from .data import ClassBatchSampler, LabeledDataset, class_index
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 from .models import (
     ArchSpec,
     InitDistribution,
-    _eval_rows,
-    _tape_key,
+    _stack_groups,
     check_labels,
     cross_entropy,
     forward,
@@ -41,11 +40,11 @@ from .seeds import derive_seed, make_rng
 from .tensor import (
     GradSet,
     ParamSet,
-    Recorder,
     Tensor,
     _node,
     _recorder,
     asum,
+    by_member,
     constant,
     div,
     grad,
@@ -53,6 +52,7 @@ from .tensor import (
     mul,
     reshape,
     sqrt,
+    tape_call,
     transpose,
 )
 
@@ -209,28 +209,36 @@ def _detached(data: np.ndarray) -> Tensor:
 def loss_gradient(params: ParamSet, spec: ArchSpec, batch: Tensor, labels: np.ndarray,
                   context: str, create_graph: bool = False) -> GradSet:
     """Cross-entropy gradient w.r.t. params; a non-finite loss raises
-    NumericError naming `context`.  The first-order gradient is recorded
-    once per key into `spec.tapes`, then replayed."""
+    NumericError naming `context`.  The first-order gradient is a taped call
+    (`_taped_loss_gradient`)."""
     labels = np.asarray(labels)
-
-    def interpret():
-        loss = cross_entropy(forward(params, spec, batch), labels)
-        loss.check_finite(context)
-        return grad(loss, params, create_graph=create_graph)
-
     if create_graph or _recorder() is not None:
-        return interpret()
-    inputs = [t.data for t in params.tensors()] + [batch.data, labels]
-    key = _tape_key("loss_gradient", params, inputs[len(params):])
-    tape = spec.tapes.get(key)
-    if tape is None:
-        with Recorder(inputs) as rec:
-            grads = interpret()
-        spec.tapes[key] = rec.finish(grads.grads)
-        return grads
-    check_labels(labels, (batch.shape[0], spec.class_count))
-    outputs, _ = tape.run(inputs, context)
-    return GradSet([_detached(g) for g in outputs], params.names, params.roles)
+        return _loss_grads(params, spec, batch, labels, context, create_graph)
+    grads = _taped_loss_gradient(params, spec, [t.data for t in params.tensors()]
+                                 + [batch.data, labels], context)
+    return GradSet([_detached(g) for g in grads], params.names, params.roles)
+
+
+def _loss_grads(params: ParamSet, spec: ArchSpec, batch: Tensor, labels: np.ndarray,
+                context: str, create_graph: bool) -> GradSet:
+    loss = cross_entropy(forward(params, spec, batch), labels)
+    loss.check_finite(context)
+    return grad(loss, params, create_graph=create_graph)
+
+
+def _taped_loss_gradient(params: ParamSet, spec: ArchSpec, inputs: list, context: str,
+                         k: int = 1, shared: int = 0) -> list[np.ndarray]:
+    """The first-order loss gradient through `tape_call` over `inputs`: the
+    parameter arrays (of `params`' entries), a batch and its labels, for a
+    group of `k` members as `tape_call` stacks them."""
+    labels, n = inputs[-1], len(params)
+    check_labels(labels.reshape(-1), (labels.size, spec.class_count))
+
+    def record(arrays):
+        return _loss_grads(params.with_data(arrays[:n]), spec, Tensor(arrays[n]), arrays[n + 1],
+                           context, False).grads
+
+    return tape_call(spec.tapes, "loss_gradient", inputs, record, context, k, shared)
 
 
 def class_gradient(params: ParamSet, spec: ArchSpec, batch: Tensor, label: int,
@@ -257,8 +265,10 @@ def match_step(params: ParamSet, spec: ArchSpec,
     gradient as a constant target, recompute the synthetic-bucket gradient
     with graph retention, and descend `cfg.syn_steps` times with `cfg.syn_lr`
     on the distance, via the hypergradient.  Classes whose buckets share a
-    shape are matched as one group (`_match_groups`).  Model parameters are
-    never touched.
+    shape are matched as one group (`_stack_groups`); after a non-finite
+    value the update reruns class by class (`by_member`), so the error names
+    the first failing class over all syn steps.  Model parameters are never
+    touched.
     """
     targets: dict[int, GradSet] = {}
     for c in sorted(real_batch_by_class):
@@ -269,34 +279,20 @@ def match_step(params: ParamSet, spec: ArchSpec,
             targets[c] = real_grads[c]
         else:
             targets[c] = class_gradient(params, spec, real_batch_by_class[c], c)
-    for _ in range(cfg.syn_steps):
-        buckets = {c: syn.buckets[c] for c in targets}
-        pixel_grads: dict[int, Tensor] = {}
-        try:
-            for group in _match_groups(spec, buckets):
+
+    def update(classes: list[int]) -> dict[int, Tensor]:
+        buckets = {c: syn.buckets[c] for c in classes}
+        for _ in range(cfg.syn_steps):
+            pixel_grads: dict[int, Tensor] = {}
+            for group in _stack_groups(spec, {c: (b.shape, b.dtype) for c, b in buckets.items()}):
                 pixel_grads.update(zip(group, _match_gradient(params, spec, targets, buckets,
                                                               group)))
-        except NumericError:
-            for c in targets:        # name the first class, in class order, that fails alone
-                _match_gradient(params, spec, targets, buckets, [c])
-            raise
-        for c, bucket in buckets.items():
-            new_data = bucket.data - bucket.data.dtype.type(cfg.syn_lr) * pixel_grads[c].data
-            syn.buckets[c] = Tensor(new_data, requires_grad=True)
+            buckets = {c: Tensor(b.data - b.data.dtype.type(cfg.syn_lr) * pixel_grads[c].data,
+                                 requires_grad=True) for c, b in buckets.items()}
+        return buckets
+
+    syn.buckets.update(by_member(update, list(targets)))
     return syn
-
-
-def _match_groups(spec: ArchSpec, buckets: Mapping[int, Tensor]) -> list[list[int]]:
-    """The classes, in class order, grouped by bucket shape: a group of m-row
-    buckets holds at most `_eval_rows // m` classes, and at least one."""
-    by_shape: dict[tuple, list[int]] = {}
-    for c, bucket in buckets.items():
-        by_shape.setdefault((bucket.shape, bucket.dtype), []).append(c)
-    groups = []
-    for (shape, dtype), classes in by_shape.items():
-        size = max(1, _eval_rows(spec, dtype.itemsize) // shape[0])
-        groups += [classes[i:i + size] for i in range(0, len(classes), size)]
-    return groups
 
 
 def _match_gradient(params: ParamSet, spec: ArchSpec, g_reals: Mapping[int, GradSet],
@@ -304,43 +300,38 @@ def _match_gradient(params: ParamSet, spec: ArchSpec, g_reals: Mapping[int, Grad
     """For each of `classes`, whose buckets share a shape: hypergrad of
     grad_distance(g_real, class gradient of the bucket) w.r.t. the bucket.
 
-    Recorded once per key into `spec.tapes` by interpreting the first class,
-    with the labels as an input, so one tape serves every class of a bucket
-    shape.  The other classes replay it once forward and once in reverse,
-    their buckets, labels and real gradients stacked on a leading group axis
-    (a group of one is not stacked).  Each class's `hypergrad` then receives
-    a one-node graph (distance <- bucket) whose VJP returns the class's slice
-    of the reverse replay."""
-    labels = {c: np.full(buckets[c].shape[0], c, dtype=np.int64) for c in classes}
-    inputs = {c: [g.data for g in g_reals[c].grads] + [buckets[c].data, labels[c]]
-              for c in classes}
-    param_data = [t.data for t in params.tensors()]
-    key = _tape_key("match", params, inputs[classes[0]])
-    tape = spec.tapes.get(key)
-    out = []
-    if tape is None:
-        c, classes = classes[0], classes[1:]
-        with Recorder(param_data + inputs[c]) as rec:
-            g_syn = loss_gradient(params, spec, buckets[c], labels[c], f"class {c} gradient",
-                                  create_graph=True)
-            distance = grad_distance(g_reals[c], g_syn)
-            rec.split()
-            pixel_grad = hypergrad(distance, [buckets[c]])[0]
-        spec.tapes[key] = tape = rec.finish([distance], [pixel_grad])
-        out.append(pixel_grad)
-        if not classes:
-            return out
-    group = [inputs[c] for c in classes]
-    stacked = [np.stack(arrays) for arrays in zip(*group)] if len(group) > 1 else group[0]
+    One taped call for the group, with the labels as an input, so one tape
+    serves every class of a bucket shape; the buckets, labels and real
+    gradients are stacked on a leading group axis.  When the call records,
+    the first class gets the interpreter's hypergrad; every other class's
+    `hypergrad` receives a one-node graph (distance <- bucket) whose VJP
+    returns the class's slice of the replay."""
+    n = len(params)
+    members = [[g.data for g in g_reals[c].grads]
+               + [buckets[c].data, np.full(buckets[c].shape[0], c, dtype=np.int64)]
+               for c in classes]
+    stacked = [np.stack(arrays) for arrays in zip(*members)] if len(classes) > 1 else members[0]
     check_labels(stacked[-1].reshape(-1), (stacked[-1].size, spec.class_count))
-    (dist,), slots = tape.run(param_data + stacked,
-                              f"class {', '.join(map(str, classes))} gradient")
-    # hypergrad seeds each one-node graph with one, as this reverse replay is seeded
-    (pixel,) = tape.reverse(slots, np.ones((), dtype=dist.dtype))
-    dist, pixel = dist.reshape(-1), pixel.reshape((len(classes),) + buckets[classes[0]].shape)
-    for i, c in enumerate(classes):
-        node = _node(dist[i, ...], (buckets[c],), lambda g, p=pixel[i]: (Tensor(p),))
-        out.append(hypergrad(node, [buckets[c]])[0])
+    recorded: list[Tensor] = []
+
+    def record(arrays):
+        bucket = Tensor(arrays[-2], requires_grad=True)
+        g_syn = loss_gradient(params, spec, bucket, arrays[-1], f"class {classes[0]} gradient",
+                              create_graph=True)
+        distance = grad_distance(GradSet([Tensor(a) for a in arrays[n:2 * n]], params.names,
+                                         params.roles), g_syn)
+        recorded.append(hypergrad(distance, [bucket])[0])
+        return [distance, recorded[0]]
+
+    dist, pixel = tape_call(spec.tapes, "match", [t.data for t in params.tensors()] + stacked,
+                            record, f"class {classes[0]} gradient", len(classes), n)
+    if len(classes) == 1:
+        dist, pixel = dist[None], pixel[None]
+    out = recorded
+    for i in range(len(recorded), len(classes)):
+        bucket = buckets[classes[i]]
+        node = _node(dist[i, ...], (bucket,), lambda g, p=pixel[i]: (Tensor(p),))
+        out.append(hypergrad(node, [bucket])[0])
     return out
 
 

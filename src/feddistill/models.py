@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -18,9 +19,7 @@ from .errors import ShapeError
 from .seeds import make_rng
 from .tensor import (
     ParamSet,
-    Recorder,
     Tensor,
-    _recording,
     add,
     asum,
     constant,
@@ -34,6 +33,7 @@ from .tensor import (
     relu,
     reshape,
     sqrt,
+    tape_call,
     transpose,
     window_sum,
 )
@@ -54,7 +54,7 @@ class ArchSpec:
     norm: str = "instance"                     # "instance" | "none"
     pool: int = 2                              # avg-pool kernel == stride
     hidden: tuple[int, ...] = (64,)            # mlp hidden sizes
-    # recorded tapes of this run's fixed-shape calls, keyed by `_tape_key`
+    # recorded tapes of this run's fixed-shape calls (`tensor.tape_call`)
     tapes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -119,15 +119,6 @@ class ArchSpec:
     def digest(self) -> bytes:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).digest()
-
-
-def _tape_key(kind, params: ParamSet, arrays) -> tuple:
-    """Key of a tape in `ArchSpec.tapes`: the kind, each parameter's name,
-    shape, dtype, requires_grad and role, the shapes and dtypes of the other
-    inputs, and the grad mode."""
-    return (kind, tuple((name, t.data.shape, t.data.dtype, t.requires_grad, role)
-                        for name, t, role in params),
-            tuple((a.shape, a.dtype) for a in arrays), _recording())
 
 
 @dataclass(frozen=True)
@@ -282,7 +273,7 @@ def _eval_rows(spec: ArchSpec, itemsize: int) -> int:
     """Rows per evaluation chunk: the most for which the largest per-sample
     forward array (an activation or an im2col patch matrix) stays within
     EVAL_CHUNK_BYTES, and at least two (see _chunk_bounds).  It also bounds
-    the rows of a stacked match group (`distill._match_groups`)."""
+    the rows of a stacked group (`_stack_groups`)."""
     c, h, w = spec.input_shape
     if spec.kind == "convnet":
         widest = 0
@@ -292,6 +283,22 @@ def _eval_rows(spec: ArchSpec, itemsize: int) -> int:
     else:
         widest = max(c * h * w, *spec.hidden, spec.class_count)
     return max(2, EVAL_CHUNK_BYTES // (widest * itemsize))
+
+
+def _stack_groups(spec: ArchSpec, shapes: Mapping, batch: int | None = None) -> list[list]:
+    """The keys of `shapes` (key -> (array shape, dtype)), in order, grouped
+    by shape and dtype for stacked replay: a group whose calls take b rows
+    each (`batch` rows at most, the whole array by default) holds at most
+    `_eval_rows // b` members, and at least one."""
+    by_shape: dict[tuple, list] = {}
+    for key, shape in shapes.items():
+        by_shape.setdefault(shape, []).append(key)
+    groups = []
+    for (shape, dtype), keys in by_shape.items():
+        rows = shape[0] if batch is None else min(batch, shape[0])
+        size = max(1, _eval_rows(spec, dtype.itemsize) // rows)
+        groups += [keys[i:i + size] for i in range(0, len(keys), size)]
+    return groups
 
 
 def _chunk_bounds(n: int, rows: int) -> list[tuple[int, int]]:
@@ -306,24 +313,17 @@ def _chunk_bounds(n: int, rows: int) -> list[tuple[int, int]]:
 
 def _chunked_logits(params: ParamSet, spec: ArchSpec, samples: np.ndarray) -> np.ndarray:
     """Logits of every sample, in chunks of `_eval_rows` rows, without
-    building graphs.  Each chunk shape records one forward tape into
-    `spec.tapes`, with the parameters and the chunk as its inputs; later
-    chunks of that shape replay it."""
+    building graphs: one forward tape per chunk shape, with the parameters
+    and the chunk as its inputs."""
     dtype = params.tensors()[0].dtype
     out = np.empty((samples.shape[0], spec.class_count), dtype=dtype)
+    data = [t.data for t in params.tensors()]
     with no_grad():
         for start, stop in _chunk_bounds(samples.shape[0], _eval_rows(spec, dtype.itemsize)):
-            x = Tensor(np.ascontiguousarray(samples[start:stop]), dtype=dtype)
-            inputs = [t.data for t in params.tensors()] + [x.data]
-            key = _tape_key("forward", params, [x.data])
-            tape = spec.tapes.get(key)
-            if tape is None:
-                with Recorder(inputs) as rec:
-                    logits = forward(params, spec, x)
-                spec.tapes[key] = rec.finish([logits])
-                out[start:stop] = logits.data
-            else:
-                out[start:stop] = tape.run(inputs)[0][0]
+            x = np.ascontiguousarray(samples[start:stop], dtype=dtype)
+            out[start:stop] = tape_call(
+                spec.tapes, "forward", data + [x],
+                lambda arrays: [forward(params, spec, Tensor(arrays[-1]))])[0]
     return out
 
 

@@ -315,7 +315,7 @@ def run_unlearn_only(config_path, requests_path) -> RunArtifacts:
     for client in clients:
         syn_path = out / f"synthetic_client{client.cid}.qdsy"
         if syn_path.exists():
-            client.syn = load_synthetic(syn_path)
+            client.syn = load_synthetic(syn_path, cfg.arch)
     model = GlobalModel(params=load_model(model_path, cfg.arch), spec=cfg.arch)
 
     engine = UnlearnEngine(clients, cfg.arch, master_seed=cfg.seed, dtype=cfg.dtype(),

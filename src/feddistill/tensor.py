@@ -3,7 +3,8 @@
 Every backward rule is itself written with the public ops, so calling `grad`
 with ``create_graph=True`` yields gradients that are further differentiable:
 that is what lets a gradient-distance be differentiated with respect to the
-inputs that produced one of the gradients (`hypergrad`).
+inputs that produced one of the gradients (`hypergrad`).  A binary op's rule
+computes no gradient for an operand that needs none.
 
 Arithmetic is strict: binary ops require identical shapes and dtypes.  The
 only sanctioned broadcasts are explicit (`expand`) and scalar constants.
@@ -23,6 +24,9 @@ replays them over new input arrays without building any tensor.
 A kernel treats an input's leading axes beyond its recorded rank as group
 axes, as ufuncs and `@` do: a tape replays over inputs stacked on a leading
 axis, and each slice equals a replay over that slice alone, bit for bit.
+`tape_call` is the one record-or-replay path: it records a tape by
+interpreting a group's first member and replays it for the whole group;
+`by_member` reruns a group that failed one member at a time.
 """
 from __future__ import annotations
 
@@ -40,15 +44,21 @@ from .errors import GraphError, NumericError, ShapeError
 DEFAULT_DTYPE = np.dtype(np.float32)
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-_state = threading.local()
+
+class _State(threading.local):
+    recording = True                    # whether ops build graphs (see no_grad)
+    recorder: "Recorder | None" = None  # the Recorder of the running block
+
+
+_state = _State()
 
 
 def _recording() -> bool:
-    return getattr(_state, "recording", True)
+    return _state.recording
 
 
 def _recorder() -> "Recorder | None":
-    return getattr(_state, "recorder", None)
+    return _state.recorder
 
 
 class no_grad(contextlib.AbstractContextManager):
@@ -192,7 +202,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable | None) -
     for p in parents:
         track = track or p.requires_grad
         detached = detached or p._detached_src
-    track = track and _recording()
+    track = track and _state.recording
     out.requires_grad = track
     out._parents = parents if track else ()
     out._vjp = vjp if track else None
@@ -202,7 +212,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable | None) -
 
 def _op(kernel: Callable, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     out = _node(kernel(*[p.data for p in parents]), parents, vjp)
-    rec = _recorder()
+    rec = _state.recorder
     if rec is not None:
         rec.step(kernel, parents, out)
     return out
@@ -215,7 +225,7 @@ def constant(kernel: Callable, *inputs) -> Tensor:
     labels) must be built here, so that a tape recomputes it on replay."""
     leaves = tuple(t if isinstance(t, Tensor) else _node(t, (), None) for t in inputs)
     out = _node(kernel(*[t.data for t in leaves]), (), None)
-    rec = _recorder()
+    rec = _state.recorder
     if rec is not None:
         rec.step(kernel, leaves, out)
     return out
@@ -240,19 +250,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "sub")
-    return _op(np.subtract, (a, b), lambda g: (g, neg(g)))
+    return _op(np.subtract, (a, b), lambda g: (g, neg(g) if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "mul")
-    return _op(np.multiply, (a, b), lambda g: (mul(g, b), mul(g, a)))
+    return _op(np.multiply, (a, b), lambda g: (mul(g, b) if a.requires_grad else None,
+                                               mul(g, a) if b.requires_grad else None))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "div")
 
     def vjp(g):
-        return (div(g, b), neg(div(mul(g, a), mul(b, b))))
+        return (div(g, b) if a.requires_grad else None,
+                neg(div(mul(g, a), mul(b, b))) if b.requires_grad else None)
 
     return _op(np.true_divide, (a, b), vjp)
 
@@ -431,7 +443,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: dtypes must match, got {a.data.dtype} vs {b.data.dtype}")
 
     def vjp(g):
-        return (matmul(g, transpose(b)), matmul(transpose(a), g))
+        return (matmul(g, transpose(b)) if a.requires_grad else None,
+                matmul(transpose(a), g) if b.requires_grad else None)
 
     return _op(_matmul, (a, b), vjp)
 
@@ -550,8 +563,12 @@ class ParamSet:
         return self._tensors[self._names.index(name)]
 
     def clone(self) -> "ParamSet":
-        return ParamSet((n, Tensor(t.data.copy(), requires_grad=t.requires_grad), r)
-                        for n, t, r in self)
+        return self.with_data([t.data.copy() for t in self._tensors])
+
+    def with_data(self, arrays: Sequence[np.ndarray]) -> "ParamSet":
+        """The same entries over new arrays, one per entry, in order."""
+        return ParamSet((n, Tensor(a, requires_grad=t.requires_grad), r)
+                        for (n, t, r), a in zip(self, arrays))
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([t.data.reshape(-1) for t in self._tensors])
@@ -632,9 +649,6 @@ def grad(loss: Tensor, wrt, create_graph: bool = False):
             raise GraphError("a wrt tensor does not require grad")
 
     seed = Tensor(np.ones(loss.shape, dtype=loss.data.dtype))
-    rec = _recorder()
-    if rec is not None:
-        rec.seed(seed)
     grads: dict[int, Tensor] = {id(loss): seed}
     wrt_ids = {id(t) for t in tensors}
     ctx = contextlib.nullcontext() if create_graph else no_grad()
@@ -712,55 +726,72 @@ class Tape:
     (kernel, input slots, output slot, slots to free after it).
 
     Slot 0 receives the results of `check_finite` steps, slots 1..n the
-    inputs; constants sit in their slots from the start.  `run` replays the
-    steps before the split and `reverse` the rest, seeded with a cotangent.
-    Each step runs the same kernel on the same values as the interpreter did
-    (an elided `expand` leaves the broadcast to its readers), so a replay is
-    bitwise equal to interpreting the call again."""
+    inputs; constants, the seeds of `grad` among them, sit in their slots
+    from the start.  Each step runs the same kernel on the same values as the
+    interpreter did (an elided `expand` leaves the broadcast to its readers),
+    so a replay is bitwise equal to interpreting the call again."""
 
-    def __init__(self, template: list, n_inputs: int, steps: list, split: int,
-                 outputs: list, seed_slot: int | None, reverse_outputs: list):
+    def __init__(self, template: list, n_inputs: int, steps: list, outputs: list):
         self._template = template
         self._n_inputs = n_inputs
-        self._forward = steps[:split]
-        self._reverse = steps[split:]
+        self._steps = steps
         self._outputs = outputs
-        self._seed_slot = seed_slot
-        self._reverse_outputs = reverse_outputs
         self.replays = 0
 
-    def run(self, inputs: Sequence, context: str = "") -> tuple[list, list]:
-        """The forward outputs for new input arrays, and the slots that
-        `reverse` continues from.  A failed `check_finite` step raises the
-        interpreter's NumericError, naming `context`."""
+    def run(self, inputs: Sequence, context: str = "") -> list:
+        """The outputs for new input arrays.  A failed `check_finite` step
+        raises the interpreter's NumericError, naming `context`."""
         if len(inputs) != self._n_inputs:
             raise GraphError(f"tape takes {self._n_inputs} inputs, got {len(inputs)}")
         self.replays += 1
         slots = list(self._template)
         slots[1:1 + self._n_inputs] = inputs
-        _execute(slots, self._forward, context)
-        return _collect(slots, self._outputs), slots
+        try:
+            for kernel, ins, out, dead in self._steps:
+                slots[out] = kernel(*[slots[i] for i in ins])
+                for i in dead:
+                    slots[i] = None
+        except _NonFinite:
+            raise _non_finite(context) from None
+        return [slots[i].copy() if copy else slots[i] for i, copy in self._outputs]
 
-    def reverse(self, slots: list, seed: np.ndarray) -> list:
-        slots = list(slots)
-        if self._seed_slot is not None:
-            slots[self._seed_slot] = seed
-        _execute(slots, self._reverse, "")
-        return _collect(slots, self._reverse_outputs)
+
+def tape_call(tapes: dict, kind: str, inputs: list, record: Callable, context: str = "",
+              k: int = 1, shared: int = 0) -> list:
+    """The outputs of one taped call for a group of `k` members.
+
+    `inputs` holds the call's arrays: the first `shared` serve every member,
+    the others hold one slice per member on a leading axis when k > 1.  The
+    tape is kept in `tapes` under `kind` and member 0's shapes, dtypes and
+    grad mode.  When it is missing, `record(arrays)` interprets member 0 over
+    its own arrays and returns the tensors to output, and the tape is
+    recorded from that call.  The group then replays the tape once, its
+    outputs stacked on the member axis; a group of one returns the recorded
+    call's values.  A failed `check_finite` step raises NumericError naming
+    `context`."""
+    first = inputs if k == 1 else inputs[:shared] + [a[0] for a in inputs[shared:]]
+    key = (kind, tuple((a.shape, a.dtype) for a in first), _recording())
+    tape = tapes.get(key)
+    if tape is None:
+        with Recorder(first) as rec:
+            outputs = record(first)
+        tapes[key] = tape = rec.finish(outputs)
+        if k == 1:
+            return [t.data for t in outputs]
+        del outputs              # frees the recorded call's graph before the group replays
+    return tape.run(inputs, context)
 
 
-def _execute(slots: list, steps: list, context: str) -> None:
+def by_member(run: Callable[[list], object], members: list):
+    """`run(members)`, the members stacked; after a NumericError, `run([m])`
+    for each member in order, so that the error raised names the first
+    member that fails on its own."""
     try:
-        for kernel, ins, out, dead in steps:
-            slots[out] = kernel(*[slots[i] for i in ins])
-            for i in dead:
-                slots[i] = None
-    except _NonFinite:
-        raise _non_finite(context) from None
-
-
-def _collect(slots: list, outputs: list) -> list:
-    return [slots[i].copy() if copy else slots[i] for i, copy in outputs]
+        return run(members)
+    except NumericError:
+        for member in members:
+            run([member])
+        raise
 
 
 class Recorder:
@@ -781,8 +812,6 @@ class Recorder:
         self._steps: list[tuple] = []
         self._consts: dict[int, object] = {}
         self._n_slots = 1 + len(self._inputs)
-        self._split: int | None = None
-        self._seed_slot: int | None = None
 
     def __enter__(self) -> "Recorder":
         if _recorder() is not None:
@@ -794,78 +823,60 @@ class Recorder:
         _state.recorder = None
         return False
 
-    def _new_slot(self) -> int:
-        self._n_slots += 1
-        return self._n_slots - 1
-
     def _slot(self, t: Tensor) -> int:
         tag = getattr(t, "_slot", None)
         if tag is not None and tag[0] == self._serial:
             return tag[1]
         idx = next((1 + i for i, arr in enumerate(self._inputs) if t.data is arr), None)
         if idx is None:
-            idx = self._new_slot()
+            idx = self._n_slots
+            self._n_slots += 1
             self._consts[idx] = t.data
         t._slot = (self._serial, idx)
         return idx
 
     def step(self, kernel: Callable, inputs: Sequence[Tensor], out: Tensor | None) -> None:
-        ins = tuple(self._slot(t) for t in inputs)
+        serial = self._serial
+        ins = tuple([tag[1] if (tag := getattr(t, "_slot", None)) is not None and tag[0] == serial
+                     else self._slot(t) for t in inputs])
         slot = 0
         if out is not None:
-            slot = self._new_slot()
+            slot = self._n_slots
+            self._n_slots += 1
             out._slot = (self._serial, slot)
         self._steps.append((kernel, ins, slot))
 
-    def split(self) -> None:
-        """Steps recorded from here on form the reverse part of the tape."""
-        self._split = len(self._steps)
-
-    def seed(self, t: Tensor) -> None:
-        """`grad` announces its seed; the first one after `split` becomes
-        the cotangent that `Tape.reverse` takes."""
-        if self._split is not None and self._seed_slot is None:
-            self._seed_slot = self._new_slot()
-            t._slot = (self._serial, self._seed_slot)
-
-    def finish(self, outputs: Sequence[Tensor], reverse_outputs: Sequence[Tensor] = ()) -> Tape:
+    def finish(self, outputs: Sequence[Tensor]) -> Tape:
         outs = [self._slot(t) for t in outputs]
-        rev = [self._slot(t) for t in reverse_outputs]
-        keep = set(outs) | set(rev)
+        keep = set(outs)
         live = keep | {0}
         kept = []
-        for position, (kernel, ins, out) in reversed(list(enumerate(self._steps))):
-            if out in live:
-                live.update(ins)
-                kept.append((position, kernel, ins, out))
+        for step in reversed(self._steps):
+            if step[2] in live:
+                live.update(step[1])
+                kept.append(step)
         kept.reverse()
         kept = self._elide_expands(kept, keep)
-        split = len(self._steps) if self._split is None else self._split
-        n_forward = sum(1 for position, *_ in kept if position < split)
 
+        # a slot that a step produced is released after its last reader
         last_use = {}
-        for i, (_, _, ins, _) in enumerate(kept):
+        for i, (_, ins, _) in enumerate(kept):
             for slot in ins:
                 last_use[slot] = i
-        produced = {out for *_, out in kept} - keep - {0}
+        fixed, consts = 1 + len(self._inputs), self._consts
         dead: list[list[int]] = [[] for _ in kept]
         for slot, i in last_use.items():
-            if slot in produced:
+            if slot >= fixed and slot not in consts and slot not in keep:
                 dead[i].append(slot)
-        steps = [(kernel, ins, out, tuple(dead[i]))
-                 for i, (_, kernel, ins, out) in enumerate(kept)]
+        steps = [(kernel, ins, out, tuple(d)) for (kernel, ins, out), d in zip(kept, dead)]
 
         template: list = [None] * self._n_slots
-        for slot, value in self._consts.items():
+        for slot, value in consts.items():
             template[slot] = value
-
-        def flagged(slots, tensors):
-            # an output that is or views a constant is copied on each replay
-            return [(slot, any(np.may_share_memory(t.data, c) for c in self._consts.values()))
-                    for slot, t in zip(slots, tensors)]
-
-        return Tape(template, len(self._inputs), steps, n_forward,
-                    flagged(outs, outputs), self._seed_slot, flagged(rev, reverse_outputs))
+        # an output that is or views a constant is copied on each replay
+        flagged = [(slot, any(np.may_share_memory(t.data, c) for c in consts.values()))
+                   for slot, t in zip(outs, outputs)]
+        return Tape(template, len(self._inputs), steps, flagged)
 
     @staticmethod
     def _elide_expands(kept: list, keep: set) -> list:
@@ -873,16 +884,21 @@ class Recorder:
         reader is a binary ufunc whose other operand (of the full shape, as
         binary ops are strict) is not itself an elided expand; its readers
         take the un-expanded array and broadcast it to the same values."""
-        readers: dict[int, list] = {}
-        for _, kernel, ins, _ in kept:
+        expands = {out: ins[0] for kernel, ins, out in kept
+                   if type(kernel) is functools.partial and kernel.func is _broadcast
+                   and out not in keep}
+        readers: dict[int, list[int]] = {out: [] for out in expands}
+        for i, (_, ins, _) in enumerate(kept):
             for slot in ins:
-                readers.setdefault(slot, []).append((kernel, ins))
+                if slot in readers:
+                    readers[slot].append(i)
         source: dict[int, int] = {}
-        for _, kernel, ins, out in kept:
-            if getattr(kernel, "func", None) is _broadcast and out not in keep and all(
-                    r_kernel in _BINARY_UFUNCS and r_ins.count(out) == 1
-                    and r_ins[1 - r_ins.index(out)] not in source
-                    for r_kernel, r_ins in readers[out]):
-                source[out] = ins[0]
-        return [(position, kernel, tuple(source.get(i, i) for i in ins), out)
-                for position, kernel, ins, out in kept if out not in source]
+        for out, src in expands.items():
+            if all(kept[i][0] in _BINARY_UFUNCS and kept[i][1].count(out) == 1
+                   and kept[i][1][1 - kept[i][1].index(out)] not in source for i in readers[out]):
+                source[out] = src
+        if not source:
+            return kept
+        rewired = {i for out in source for i in readers[out]}
+        return [(kernel, tuple([source.get(s, s) for s in ins]) if i in rewired else ins, out)
+                for i, (kernel, ins, out) in enumerate(kept) if out not in source]

@@ -3,8 +3,9 @@ recovery rounds on the remaining buckets mixed with a few original samples,
 sequential and batched requests, and relearning from retained buckets.
 
 One "round" is one full pass over the relevant distilled set per involved
-client (a single full-batch step; the sets are tiny), followed by size-
-weighted aggregation.
+client (minibatch steps of `pass_batch_size` rows), followed by size-
+weighted aggregation.  The passes of clients whose sets share a shape run
+stacked, one loss-gradient replay per minibatch for the whole group.
 """
 from __future__ import annotations
 
@@ -16,11 +17,11 @@ import numpy as np
 
 from .errors import ShapeError
 from .federation import ClientState, GlobalModel, aggregate
-from .models import ArchSpec
+from .models import ArchSpec, _stack_groups
 from .seeds import make_rng
-from .tensor import ParamSet, Tensor
+from .tensor import ParamSet, Tensor, by_member
 
-from .distill import loss_gradient, sgd_step
+from .distill import _taped_loss_gradient
 
 log = logging.getLogger(__name__)
 
@@ -256,49 +257,59 @@ class UnlearnEngine:
             labels.append(mix_y)
         return np.concatenate(parts), np.concatenate(labels)
 
-    def _local_pass(self, params: ParamSet, xs: np.ndarray, ys: np.ndarray, lr: float,
-                    direction: float, context: str) -> ParamSet:
-        """One pass over the set: minibatch steps in a fixed order, each sample
-        touched exactly once."""
-        local = params.clone()
-        for start in range(0, xs.shape[0], self.pass_batch_size):
-            xb = Tensor(np.ascontiguousarray(xs[start:start + self.pass_batch_size]))
-            yb = ys[start:start + self.pass_batch_size]
-            sgd_step(local, loss_gradient(local, self.spec, xb, yb, context), lr,
-                     direction=direction)
-        return local
+    def _passes(self, params: ParamSet, sets: list[tuple], lr: float, direction: float,
+                context: str) -> list[ParamSet]:
+        """One pass from `params` over each of `sets`, pass sets of one shape:
+        minibatch steps in a fixed order, each sample touched exactly once.
+        The sets pass together, stacked on a leading axis, one loss-gradient
+        replay per minibatch; each slice is bit for bit its own pass."""
+        k = len(sets)
+        xs, ys = [np.stack(a) for a in zip(*sets)] if k > 1 else sets[0]
+        arrays, b = [t.data for t in params.tensors()], self.pass_batch_size
+        for start in range(0, xs.shape[-4], b):
+            batch = np.ascontiguousarray(xs[..., start:start + b, :, :, :])
+            inputs = arrays + [batch, ys[..., start:start + b]]
+            grads = _taped_loss_gradient(params, self.spec, inputs, context, k,
+                                         shared=len(arrays) if start == 0 else 0)
+            arrays = [p + p.dtype.type(direction * lr) * g for p, g in zip(arrays, grads)]
+        return [params.with_data([a[i] for a in arrays]) for i in range(k)] if k > 1 \
+            else [params.with_data(arrays)]
+
+    def _round(self, params: ParamSet, sizes: dict[int, int], pass_set, lr: float,
+               direction: float, name: str) -> ParamSet:
+        """One pass per client of `sizes` (client -> set size) over its set
+        `pass_set(cid)`, then aggregation weighted by set size, in client
+        order.  Clients pass in groups (`_stack_groups`), each group's sets
+        built just before its passes; a non-finite value names the first
+        failing client."""
+        shapes = {cid: ((n,) + self.spec.input_shape, self.dtype) for cid, n in sizes.items()}
+        local: dict[int, ParamSet] = {}
+        for group in _stack_groups(self.spec, shapes, self.pass_batch_size):
+            local.update(zip(group, by_member(
+                lambda cids: self._passes(params, [pass_set(c) for c in cids], lr, direction,
+                                          f"{name} client {cids[0]}"), group)))
+        total = sum(sizes.values())
+        return aggregate([local[cid] for cid in sizes], [n / total for n in sizes.values()])
 
     def sga_round(self, params: ParamSet, partition: ForgetPartition, lr: float) -> ParamSet:
         """One ascent pass on each client's forget buckets, then aggregation
         weighted by forget-set size."""
-        involved = [cid for cid, s in sorted(partition.splits.items()) if s.forget_count()]
-        if not involved:
+        splits = partition.splits
+        sizes = {cid: s.forget_count() for cid, s in sorted(splits.items()) if s.forget_count()}
+        if not sizes:
             raise ShapeError("forget set is empty; nothing to unlearn")
-        locals_, weights = [], []
-        total = sum(partition.splits[cid].forget_count() for cid in involved)
-        for cid in involved:
-            split = partition.splits[cid]
-            xs, ys = self._batch_of(split.forget)
-            locals_.append(self._local_pass(params, xs, ys, lr, +1.0,
-                                            f"unlearning client {cid}"))
-            weights.append(split.forget_count() / total)
-        return aggregate(locals_, weights)
+        return self._round(params, sizes, lambda cid: self._batch_of(splits[cid].forget), lr,
+                           +1.0, "unlearning")
 
     def recovery_round(self, params: ParamSet, partition: ForgetPartition, lr: float) -> ParamSet:
         """One descent pass on each client's keep buckets plus mix-ins, then
         aggregation weighted by that merged set's size."""
-        involved = [cid for cid, s in sorted(partition.splits.items()) if s.keep_count()]
-        if not involved:
+        splits = partition.splits
+        sizes = {cid: s.keep_count() for cid, s in sorted(splits.items()) if s.keep_count()}
+        if not sizes:
             raise ShapeError("recovery set is empty")
-        locals_, weights = [], []
-        total = sum(partition.splits[cid].keep_count() for cid in involved)
-        for cid in involved:
-            split = partition.splits[cid]
-            xs, ys = self._batch_of(split.keep, split.mix_x, split.mix_y)
-            locals_.append(self._local_pass(params, xs, ys, lr, -1.0,
-                                            f"recovery client {cid}"))
-            weights.append(split.keep_count() / total)
-        return aggregate(locals_, weights)
+        return self._round(params, sizes, lambda cid: self._batch_of(
+            splits[cid].keep, splits[cid].mix_x, splits[cid].mix_y), lr, -1.0, "recovery")
 
     # ---- request execution ------------------------------------------------------
 

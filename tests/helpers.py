@@ -1,6 +1,7 @@
 """Helpers that only the tests use: a finite-difference gradient check, a
-centralized SGD trainer, reference patch kernels, the reference MIA threshold
-scan, slicing and trigonometric ops, and a few small accessors."""
+centralized SGD trainer, the per-client reference of an unlearning round,
+reference patch kernels, the reference MIA threshold scan, slicing and
+trigonometric ops, and a few small accessors."""
 from __future__ import annotations
 
 from typing import Callable
@@ -12,6 +13,7 @@ from feddistill.data import LabeledDataset
 from feddistill.distill import sgd_step
 from feddistill.errors import GraphError, NumericError
 from feddistill.evaluate import StageRecord
+from feddistill.federation import aggregate
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
 from feddistill.seeds import make_rng
 from feddistill.tensor import ParamSet, Tensor, _op, grad, mul, neg
@@ -75,6 +77,27 @@ def fit_model(spec: ArchSpec, data: LabeledDataset, steps: int, lr: float,
         loss.check_finite("centralized fit")
         sgd_step(params, grad(loss, params), lr)
     return params
+
+
+def per_client_round(engine, params: ParamSet, sizes: dict, pass_set, lr: float,
+                     direction: float, name: str) -> ParamSet:
+    """`UnlearnEngine._round` as a per-client loop: each client's pass on its
+    own, minibatch by minibatch, through the interpreter and `sgd_step`, then
+    aggregation weighted by set size in client order.  The stacked rounds
+    must equal it bit for bit."""
+    locals_ = []
+    for cid in sizes:
+        xs, ys = pass_set(cid)
+        local = params.clone()
+        for start in range(0, xs.shape[0], engine.pass_batch_size):
+            stop = start + engine.pass_batch_size
+            batch = Tensor(np.ascontiguousarray(xs[start:stop]))
+            loss = cross_entropy(forward(local, engine.spec, batch), ys[start:stop])
+            loss.check_finite(f"{name} client {cid}")
+            sgd_step(local, grad(loss, local), lr, direction=direction)
+        locals_.append(local)
+    total = sum(sizes.values())
+    return aggregate(locals_, [n / total for n in sizes.values()])
 
 
 def per_class_accuracy(record: StageRecord) -> list[float]:

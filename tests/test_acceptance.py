@@ -457,7 +457,7 @@ def test_c09_determinism_and_persistence(tmp_path):
     save_model(resaved, params, spec)
     model_roundtrip = resaved.read_bytes() == (outs[0] / "model.qdmd").read_bytes()
 
-    syn = load_synthetic(outs[0] / "synthetic_client0.qdsy")
+    syn = load_synthetic(outs[0] / "synthetic_client0.qdsy", spec)
     resaved_syn = tmp_path / "resaved.qdsy"
     save_synthetic(resaved_syn, syn)
     syn_roundtrip = resaved_syn.read_bytes() == (outs[0] / "synthetic_client0.qdsy").read_bytes()

@@ -325,8 +325,13 @@ def _set_byte(offset_of, value):
      "truncated while reading class 0 tensor at byte 49"),
     ("synthetic_client0.qdsy", lambda raw: raw[:33] + bytes(4) + raw[37:],
      "class 0 listed twice, again at byte 33"),
+    ("synthetic_client0.qdsy", lambda raw: raw[:25] + struct.pack("<I", 7) + raw[29:],
+     "class 7 at byte 25 lies outside [0, 3)"),
+    ("synthetic_client0.qdsy", lambda raw: raw[:9] + struct.pack("<III", 2, 1, 2) + raw[21:],
+     "sample shape [2, 1, 2] at byte 9 is not the architecture's [1, 2, 2]"),
 ], ids=["role-code", "precision", "name", "qdmd-trailing", "qdmd-truncated", "qdsy-trailing",
-        "qdmd-entry-name", "qdsy-huge-shape", "qdsy-duplicate-class"])
+        "qdmd-entry-name", "qdsy-huge-shape", "qdsy-duplicate-class", "qdsy-class-out-of-range",
+        "qdsy-sample-shape"])
 def test_corrupt_checkpoints_exit_4(served_run, tmp_path, monkeypatch, capsys, name, corrupt,
                                     message):
     out = tmp_path / "out"
@@ -339,6 +344,27 @@ def test_corrupt_checkpoints_exit_4(served_run, tmp_path, monkeypatch, capsys, n
     assert main(["unlearn", str(served_run[1]), "--requests", str(reqs)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("poisoned, named", [((1,), 1), ((0, 1), 0)], ids=["second", "both"])
+def test_a_nan_in_a_stacked_recovery_group_exits_3(served_run, tmp_path, monkeypatch, capsys,
+                                                   poisoned, named):
+    # both clients' recovery sets have one shape, so their passes replay stacked;
+    # a NaN in a class-0 bucket (the first tensor, at byte 49) names the first
+    # failing client in client order
+    out = tmp_path / "out"
+    shutil.copytree(served_run[0] / "out", out)
+    for cid in poisoned:
+        path = out / f"synthetic_client{cid}.qdsy"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:49] + struct.pack("<f", float("nan")) + raw[53:])
+    monkeypatch.setenv("FEDDISTILL_OUTPUT_DIR", str(out))
+    reqs = tmp_path / "reqs.txt"
+    reqs.write_text("unlearn class=1\n")
+    capsys.readouterr()
+    assert main(["unlearn", str(served_run[1]), "--requests", str(reqs)]) == 3
+    err = capsys.readouterr().err
+    assert f"non-finite values in recovery client {named}" in err and "Traceback" not in err
 
 
 CONVNET = {"kind": "convnet", "blocks": 1, "filters": 4}

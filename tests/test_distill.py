@@ -269,7 +269,7 @@ def test_standalone_synthetic_step_replays_the_loss_gradient_tape():
     xs, _ = syn.union()
     # key: (kind, params, ((batch shape, dtype), (labels shape, dtype)), grad mode)
     tapes = [tape for key, tape in spec.tapes.items()
-             if key[0] == "loss_gradient" and key[2][0][0] == xs.shape]
+             if key[0] == "loss_gradient" and key[1][-2][0] == xs.shape]
     assert xs.shape[0] != cfg.real_batch_per_class
     assert len(tapes) == 1 and tapes[0].replays >= 1
 

@@ -203,7 +203,7 @@ def test_replayed_evaluation_equals_the_interpreter(name):
         assert np.array_equal(preds, reference.argmax(axis=1))
         tapes = dict(spec.tapes)
         assert {key[0] for key in tapes} == {"forward"}
-        assert sorted(key[2][0][0][0] for key in tapes) == sorted([3, rows])   # rows per tape
+        assert sorted(key[1][-1][0][0] for key in tapes) == sorted([3, rows])   # rows per tape
         again = _evaluation(params, spec, samples, labels)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(again, (logits, preds, losses)))
         assert spec.tapes == tapes
@@ -377,12 +377,15 @@ def test_model_checkpoint_arch_mismatch(tmp_path):
         load_model(path, other)
 
 
+SYN_SPEC = ArchSpec(kind="mlp", input_shape=(1, 2, 2), class_count=3)
+
+
 def test_synthetic_checkpoint_roundtrip(tmp_path):
     data = synth_blobs(3, 40, (1, 2, 2), separation=5.0, seed=22)
     syn = init_synthetic(data, s=30, seed=23)
     path = tmp_path / "syn.qdsy"
     save_synthetic(path, syn)
-    loaded = load_synthetic(path)
+    loaded = load_synthetic(path, SYN_SPEC)
     assert loaded.classes() == syn.classes()
     for c in syn.buckets:
         assert loaded.buckets[c].shape == syn.buckets[c].shape
@@ -395,7 +398,7 @@ def test_synthetic_checkpoint_preserves_singleton_buckets(tmp_path):
     assert all(t.shape[0] == 1 for t in syn.buckets.values())
     path = tmp_path / "syn.qdsy"
     save_synthetic(path, syn)
-    loaded = load_synthetic(path)
+    loaded = load_synthetic(path, SYN_SPEC)
     assert [loaded.buckets[c].shape[0] for c in loaded.classes()] == [1, 1, 1]
 
 
@@ -403,7 +406,7 @@ def test_synthetic_checkpoint_wrong_magic(tmp_path):
     path = tmp_path / "bad.qdsy"
     path.write_bytes(b"QDMD" + bytes(32))
     with pytest.raises(DataFormatError, match="QDSY"):
-        load_synthetic(path)
+        load_synthetic(path, SYN_SPEC)
 
 
 

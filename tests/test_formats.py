@@ -58,7 +58,7 @@ def _loader(kind, tmp_path):
     if kind in ("qdmd", "qdmd_conv"):
         spec = CONV if kind == "qdmd_conv" else SPEC
         return path, lambda: load_model(path, spec)
-    return path, lambda: load_synthetic(path)
+    return path, lambda: load_synthetic(path, SPEC)
 
 
 def _valid(kind, tmp_path) -> bytes:

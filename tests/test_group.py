@@ -1,8 +1,12 @@
-"""Grouped match replay: a match tape recorded for one class replays over the
+"""Grouped replay: a match tape recorded for one class replays over the
 buckets, labels and real gradients of several classes stacked on a leading
-group axis, and each class's slice equals its own replay bit for bit.  Expand
-steps whose readers broadcast by themselves leave the tapes."""
+group axis, and a loss-gradient tape recorded for one client replays over the
+minibatches (and parameters) of several clients; each member's slice equals
+its own replay bit for bit.  Expand steps whose readers broadcast by
+themselves leave the tapes."""
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from feddistill.distill import (
     _match_gradient,
     class_gradient,
     grad_distance,
+    loss_gradient,
     match_step,
 )
 from feddistill.errors import NumericError
@@ -103,11 +108,10 @@ def _lockstep(arch, rows, dtype, k, seed):
     for inputs in per_class + [stacked_inputs]:
         slots = list(tape._template)
         slots[1:1 + len(inputs)] = inputs
-        slots[tape._seed_slot] = np.ones((), dtype=dtype)
         runs.append(slots)
     alone, grouped = runs[:-1], runs[-1]
     mismatches, seen = [], set()
-    for kernel, ins, out, _ in tape._forward + tape._reverse:
+    for kernel, ins, out, _ in tape._steps:
         if out == 0:                                        # check_finite
             continue
         if any(grouped[i].ndim > alone[0][i].ndim for i in ins):
@@ -145,6 +149,79 @@ def test_the_group_property_reaches_every_group_axis_kernel():
     assert "_broadcast" not in mlp                     # every MLP expand is elided
 
 
+# (architecture, rows) of the loss-gradient calls the unlearning passes stack:
+# the MLP's 1-row ascent and 22-row recovery minibatches (fl_mlp, blobs_small),
+# and the 2- and 4-row ascent sets of fl_conv's and the digest's convnets
+LOSS_SHAPES = [("mlp", 1), ("mlp", 22), ("conv16", 2), ("conv16", 4), ("conv8x8", 2),
+               ("conv8x8", 4)]
+
+
+def _loss_tape(arch, rows, dtype):
+    """A fresh spec, its parameters, and the loss-gradient tape recorded for
+    one `rows`-row minibatch."""
+    key = ("loss", arch, rows, np.dtype(dtype).name)
+    if key not in _CACHED:
+        spec = ArchSpec(**ARCHS[arch])
+        params = init_params(spec, InitDistribution(seed=3), dtype=dtype)
+        rng = np.random.default_rng(rows)
+        batch = Tensor(rng.normal(size=(rows,) + spec.input_shape), dtype=dtype)
+        loss_gradient(params, spec, batch, rng.integers(0, spec.class_count, size=rows), "x")
+        (tape,) = spec.tapes.values()
+        _CACHED[key] = spec, params, tape
+    return _CACHED[key]
+
+
+def _steps(tape, inputs):
+    """Replay `tape` one step at a time, releasing dead slots; yield each
+    step's kernel and output (`check_finite` steps have none)."""
+    slots = list(tape._template)
+    slots[1:1 + len(inputs)] = inputs
+    for kernel, ins, out, dead in tape._steps:
+        value = kernel(*[slots[i] for i in ins])
+        if out:
+            slots[out] = value
+            yield kernel, value
+        for i in dead:
+            slots[i] = None
+
+
+def _digest(a) -> bytes:
+    return hashlib.blake2b(repr((a.shape, a.dtype.str)).encode() + a.tobytes(),
+                           digest_size=16).digest()
+
+
+@pytest.mark.parametrize("arch, rows", LOSS_SHAPES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_member_params", [False, True], ids=["shared", "stacked"])
+@pytest.mark.parametrize("k", [1, 2, 4, 100])
+def test_every_loss_gradient_kernel_is_group_invariant(arch, rows, dtype, per_member_params, k):
+    """Every step of the loss-gradient tape, given the minibatches and labels
+    of `k` clients stacked on a leading group axis, and the parameters shared
+    (a pass's first step) or stacked too (every later step), equals each
+    client's own step bit for bit.  No shape is excluded."""
+    spec, params, tape = _loss_tape(arch, rows, dtype)
+    rng = np.random.default_rng(17 * k + rows)
+    base = [t.data for t in params.tensors()]
+    members = []
+    for c in range(k):
+        own = [p + p.dtype.type(0.01 * c) * rng.normal(size=p.shape).astype(p.dtype)
+               for p in base] if per_member_params else base
+        members.append(own + [rng.normal(size=(rows,) + spec.input_shape).astype(dtype),
+                              rng.integers(0, spec.class_count, size=rows)])
+    shared = 0 if per_member_params else len(base)
+    grouped = base[:shared] + [np.stack(a) for a in list(zip(*members))[shared:]]
+    alone = [[(value.ndim, _digest(value)) for _, value in _steps(tape, inputs)]
+             for inputs in members]
+    mismatches = []
+    for i, (kernel, value) in enumerate(_steps(tape, grouped)):
+        for c in range(k):
+            ndim, want = alone[c][i]
+            if (_digest(value[c]) if value.ndim == ndim + 1 else _digest(value)) != want:
+                mismatches.append((i, _kernel_name(kernel), c))
+                break
+    assert mismatches == []
+
+
 def _interpreted(params, spec, g_real, bucket, label):
     g_syn = class_gradient(params, spec, bucket, label, create_graph=True)
     return hypergrad(grad_distance(g_real, g_syn), [bucket])[0].data
@@ -170,7 +247,7 @@ def test_grouped_match_step_equals_the_interpreter(arch, dtype):
         match_step(params, spec, batches, syn, cfg, real_grads=grads)
         for c in range(4):
             assert syn.buckets[c].data.tobytes() == expected[c].tobytes()
-        replays.append({k[2][-2][0][0]: t.replays for k, t in spec.tapes.items()
+        replays.append({k[1][-2][0][0]: t.replays for k, t in spec.tapes.items()
                         if k[0] == "match"})
     # the first step records each shape's tape (class 1 then replays alone);
     # after that each bucket shape replays once per step
@@ -205,14 +282,35 @@ def test_a_nan_in_a_group_names_the_first_failing_class(bad, message):
         match_step(params, spec, batches, syn(bad), DistillConfig(), real_grads=grads)
 
 
+def test_the_match_fallback_names_the_first_failing_class_over_all_syn_steps():
+    """Class 2 fails at syn step 0 (a NaN pixel), class 0 only at step 1: the
+    step size is float32(1e39), which is inf, so the first update overflows
+    every bucket it moves.  The error names class 0, the first class that
+    fails on its own over both steps, as a per-class loop would; class 0's
+    one-row bucket keeps it out of the group (1, 2, 3) that fails first."""
+    spec = ArchSpec(**dict(ARCHS["mlp"], class_count=4))
+    params = init_params(spec, InitDistribution(seed=5))
+    rng = np.random.default_rng(2)
+    batches = {c: Tensor(rng.normal(size=(4,) + spec.input_shape), dtype=np.float32)
+               for c in range(4)}
+    grads = {c: class_gradient(params, spec, batches[c], c) for c in range(4)}
+    data = {c: rng.normal(size=(1 if c == 0 else 2,) + spec.input_shape).astype(np.float32)
+            for c in range(4)}
+    data[2][0, 0, 0, 0] = np.nan
+    syn = SyntheticDataset({c: Tensor(d, requires_grad=True) for c, d in data.items()})
+    with pytest.raises(NumericError, match="^non-finite values in class 0 gradient$"):
+        match_step(params, spec, batches, syn, DistillConfig(syn_steps=2, syn_lr=1e39),
+                   real_grads=grads)
+
+
 def _tape_of(build):
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     row = Tensor(np.array([[1.0, -2.0, 0.5]]))
     with Recorder([x.data, row.data]) as rec:
         out = build(x, row)
     tape = rec.finish([out])
-    kernels = [kernel for kernel, *_ in tape._forward]
-    result = tape.run([x.data, row.data])[0][0]
+    kernels = [kernel for kernel, *_ in tape._steps]
+    result = tape.run([x.data, row.data])[0]
     assert result.tobytes() == out.data.tobytes()
     return sum(map(_is_expand, kernels))
 

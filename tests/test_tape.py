@@ -138,7 +138,7 @@ def test_local_pass_with_a_short_last_minibatch(name, dtype):
     for p in params:
         xs = rng.normal(size=(10,) + spec.input_shape).astype(dtype)
         ys = rng.integers(0, spec.class_count, size=10)
-        taped = engine._local_pass(p, xs, ys, 0.1, -1.0, "test")
+        (taped,) = engine._passes(p, [(xs, ys)], 0.1, -1.0, "test")
         reference = p.clone()
         for start in range(0, 10, 4):
             g = _interpreted_gradient(reference, spec, Tensor(xs[start:start + 4]),
@@ -146,7 +146,7 @@ def test_local_pass_with_a_short_last_minibatch(name, dtype):
             for t, d in zip(reference.tensors(), g.grads):
                 t.data = t.data - t.data.dtype.type(0.1) * d.data
         assert taped.to_vector().tobytes() == reference.to_vector().tobytes()
-    assert sorted(key[2][0][0][0] for key in spec.tapes) == [2, 4]     # batch rows per tape
+    assert sorted(key[1][-2][0][0] for key in spec.tapes) == [2, 4]     # batch rows per tape
 
 
 @pytest.mark.parametrize("name", list(SPECS))
@@ -178,25 +178,27 @@ def test_replayed_outputs_never_alias_a_constant():
     with Recorder([x.data, unused.data]) as rec:
         gx, gu = grad(asum(mul(x, x)), [x, unused])
     tape = rec.finish([gx, gu])
-    first, _ = tape.run([np.array([3.0, 4.0]), np.array([1.0])])
+    first = tape.run([np.array([3.0, 4.0]), np.array([1.0])])
     assert first[0].tolist() == [6.0, 8.0] and first[1].tolist() == [0.0]
     first[1][0] = 7.0
-    second, _ = tape.run([np.array([3.0, 4.0]), np.array([1.0])])
+    second = tape.run([np.array([3.0, 4.0]), np.array([1.0])])
     assert second[1].tolist() == [0.0]
 
 
-def test_reverse_replay_is_seeded_with_the_cotangent():
+def test_a_tape_replays_forward_and_reverse_in_one_run():
+    """The seed of `grad` is a constant of the tape, so one run replays a
+    value and its gradient together."""
     x = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
     with Recorder([x.data]) as rec:
-        y = asum(mul(x, mul(x, x)))
-        rec.split()
+        y = mul_scalar(asum(mul(x, mul(x, x))), 3.0)
         (gx,) = grad(y, [x])
-    tape = rec.finish([y], [gx])
+    tape = rec.finish([y, gx])
     new = np.array([1.25, 3.0, -0.75])
-    _, slots = tape.run([new])
-    (scaled,) = tape.reverse(slots, np.array(3.0))
+    value, scaled = tape.run([new])
     leaf = Tensor(new.copy(), requires_grad=True)
-    (reference,) = grad(mul_scalar(asum(mul(leaf, mul(leaf, leaf))), 3.0), [leaf])
+    out = mul_scalar(asum(mul(leaf, mul(leaf, leaf))), 3.0)
+    (reference,) = grad(out, [leaf])
+    assert value.tobytes() == out.data.tobytes()
     assert scaled.tobytes() == reference.data.tobytes()
 
 
@@ -222,7 +224,7 @@ def test_blobs_small_records_each_key_once(tmp_path, monkeypatch):
     assert kinds == {"loss_gradient", "match", "forward"}
     # every expand of the MLP feeds a binary ufunc, so none is left on a tape
     assert not any(getattr(kernel, "func", None) is _broadcast
-                   for tape in tapes for kernel, *_ in tape._forward + tape._reverse)
+                   for tape in tapes for kernel, *_ in tape._steps)
 
 
 def test_each_spec_instance_has_its_own_tapes():

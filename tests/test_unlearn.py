@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from feddistill.config import load_config
 from feddistill.data import dirichlet_partition, synth_blobs
 from feddistill.distill import DistillConfig
-from feddistill.errors import ShapeError
-from feddistill.evaluate import original_data_partition
-from feddistill.federation import build_clients, train_federated
-from feddistill.models import ArchSpec
+from feddistill.errors import NumericError, ShapeError
+from feddistill.evaluate import original_data_partition, sga_or_baseline
+from feddistill.federation import GlobalModel, build_clients, train_federated
+from feddistill.models import ArchSpec, InitDistribution, init_params
+from feddistill.runner import build_datasets
 from feddistill.tensor import Tensor
 from feddistill.unlearn import (
     ClientSplit,
@@ -20,8 +23,10 @@ from feddistill.unlearn import (
     parse_request_file,
     parse_request_line,
 )
+from helpers import per_client_round
 
 SPEC = ArchSpec(kind="mlp", input_shape=(1, 2, 2), class_count=3, hidden=(6,))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _trained_world(seed=0, classes=3, per_class=60, n_clients=2, rounds=4):
@@ -291,3 +296,73 @@ def test_relearn_includes_target_buckets():
     expected = sum(t.shape[0] for c in clients for t in c.syn.buckets.values())
     _, cost = engine.relearn(model2, [{"class": 0}], rounds=1)
     assert cost.samples == expected
+
+
+# ---- stacked rounds ----------------------------------------------------------------
+
+
+def _blobs_world(n_clients, alpha):
+    """The blobs_small data and MLP split over `n_clients` clients, their
+    synthetic sets as initialized (one sample per class) and an untrained
+    model on a fresh spec."""
+    cfg = load_config(ROOT / "configs" / "blobs_small.json")
+    train, _ = build_datasets(cfg)
+    parts, _ = dirichlet_partition(train, n_clients, alpha, cfg.seed)
+    clients = build_clients(parts, master_seed=cfg.seed, scale_s=cfg.scale_s)
+    spec = ArchSpec(**cfg.arch.to_dict())
+    return GlobalModel(params=init_params(spec, InitDistribution(seed=1)), spec=spec), clients
+
+
+def _bits(model):
+    return model.params.to_vector().tobytes()
+
+
+@pytest.mark.parametrize("n_clients, alpha, batch", [
+    (4, math.inf, 32), (4, math.inf, 4), (100, math.inf, 32), (100, math.inf, 4),
+    (4, 1.0, 4), (100, 1.0, 32),
+], ids=["4-iid", "4-iid-minibatches", "100-iid", "100-iid-minibatches", "4-alpha1-minibatches",
+        "100-alpha1"])
+def test_stacked_rounds_equal_the_per_client_loop(n_clients, alpha, batch, monkeypatch):
+    """A request, a relearn and the sga_original baseline give the bits of
+    the per-client loop.  Under alpha 1 the pass sets differ in size, so a
+    round has several groups, groups of one among them; with 4-row
+    minibatches the parameters become per-client after the first step."""
+    model, clients = _blobs_world(n_clients, alpha)
+    request = UnlearningRequest(targets=[{"class": 1}], sga_lr=0.1, recovery_lr=0.1)
+
+    def serve():
+        engine = UnlearnEngine(clients, model.spec, master_seed=5, pass_batch_size=batch)
+        out, _ = engine.execute_request(model, request)
+        back, _ = engine.relearn(out, [{"class": 1}], rounds=1, lr=0.1)
+        baseline, _ = sga_or_baseline(model, clients, {1}, set(), master_seed=5,
+                                      unlearn_rounds=1, recovery_rounds=1, sga_lr=0.1,
+                                      recovery_lr=0.1, pass_batch_size=batch)
+        return [_bits(out), _bits(back), _bits(baseline)]
+
+    stacked = serve()
+    if n_clients == 100 and alpha == math.inf:   # one group per pass and minibatch position
+        assert sum(t.replays for t in model.spec.tapes.values()) < 50
+    monkeypatch.setattr(UnlearnEngine, "_round", per_client_round)
+    assert serve() == stacked
+
+
+@pytest.mark.parametrize("poison, named", [({2: "keep"}, 2), ({3: "keep", 1: "mix"}, 1),
+                                           ({0: "mix", 1: "keep"}, 0)],
+                         ids=["one", "later-minibatch-first", "both-kinds"])
+def test_a_nan_in_a_stacked_group_names_the_first_failing_client(poison, named):
+    """NaNs in a keep bucket reach the first 4-row minibatch of a recovery
+    pass, NaNs in the original samples of class 2 a later one (the mix-ins
+    follow the buckets); the error names the first failing client in client
+    order, whichever minibatch fails first."""
+    model, clients = _blobs_world(4, math.inf)
+    for cid, where in poison.items():
+        client = clients[cid]
+        if where == "keep":
+            client.syn.buckets[0] = Tensor(np.full_like(client.syn.buckets[0].data, np.nan),
+                                           requires_grad=True)
+        else:
+            client.data.samples[client.data.labels == 2] = np.nan
+    engine = UnlearnEngine(clients, model.spec, master_seed=5, pass_batch_size=4)
+    request = UnlearningRequest(targets=[{"class": 1}], sga_lr=0.1, recovery_lr=0.1)
+    with pytest.raises(NumericError, match=f"^non-finite values in recovery client {named}$"):
+        engine.execute_request(model, request)
