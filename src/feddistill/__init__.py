@@ -22,7 +22,7 @@ from .errors import (
 from .evaluate import ExperimentReport, MIAConfig, accuracy_report, mia_attack
 from .federation import ClientState, GlobalModel, aggregate, build_clients, sample_clients, train_federated
 from .models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
-from .tensor import GradSet, ParamSet, Tensor, grad, hypergrad, no_grad
+from .tensor import ParamSet, Tensor, grad, hypergrad, no_grad
 from .unlearn import UnlearnEngine, UnlearningRequest, parse_request_file
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ExperimentReport",
     "FedDistillError",
     "GlobalModel",
-    "GradSet",
     "GraphError",
     "InitDistribution",
     "LabeledDataset",

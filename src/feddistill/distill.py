@@ -38,7 +38,6 @@ from .models import (
 )
 from .seeds import derive_seed, make_rng
 from .tensor import (
-    GradSet,
     ParamSet,
     Tensor,
     _node,
@@ -166,20 +165,17 @@ def _as_rows(t: Tensor, role: str) -> Tensor:
     raise ShapeError(f"unsupported gradient tensor (role={role}, shape={t.shape})")
 
 
-def grad_distance(ga: GradSet, gb: GradSet) -> Tensor:
+def grad_distance(ga: ParamSet, gb: ParamSet) -> Tensor:
     """Layerwise sum over output units of (1 - cosine) between gradient rows.
 
     Rows whose norm falls below 1e-10 on either side are skipped (contribute
     zero); near convergence whole layers can vanish and the cosine would be
     undefined there.  Differentiable w.r.t. whichever side carries a graph.
     """
-    if ga.names != gb.names:
-        raise ShapeError("gradient sets come from different architectures")
+    ga.congruent_with(gb)
     total: Tensor | None = None
     tiny = 1e-20
     for (_, ta, role), (_, tb, _) in zip(ga, gb):
-        if ta.shape != tb.shape:
-            raise ShapeError(f"gradient shapes differ: {ta.shape} vs {tb.shape}")
         ra, rb = _as_rows(ta, role), _as_rows(tb, role)
         dots = asum(mul(ra, rb), axes=(1,))
         na2 = asum(mul(ra, ra), axes=(1,))
@@ -207,20 +203,19 @@ def _detached(data: np.ndarray) -> Tensor:
 
 
 def loss_gradient(params: ParamSet, spec: ArchSpec, batch: Tensor, labels: np.ndarray,
-                  context: str, create_graph: bool = False) -> GradSet:
+                  context: str, create_graph: bool = False) -> ParamSet:
     """Cross-entropy gradient w.r.t. params; a non-finite loss raises
     NumericError naming `context`.  The first-order gradient is a taped call
     (`_taped_loss_gradient`)."""
     labels = np.asarray(labels)
     if create_graph or _recorder() is not None:
         return _loss_grads(params, spec, batch, labels, context, create_graph)
-    grads = _taped_loss_gradient(params, spec, [t.data for t in params.tensors()]
-                                 + [batch.data, labels], context)
-    return GradSet([_detached(g) for g in grads], params.names, params.roles)
+    grads = _taped_loss_gradient(params, spec, params.arrays() + [batch.data, labels], context)
+    return params.like([_detached(g) for g in grads])
 
 
 def _loss_grads(params: ParamSet, spec: ArchSpec, batch: Tensor, labels: np.ndarray,
-                context: str, create_graph: bool) -> GradSet:
+                context: str, create_graph: bool) -> ParamSet:
     loss = cross_entropy(forward(params, spec, batch), labels)
     loss.check_finite(context)
     return grad(loss, params, create_graph=create_graph)
@@ -236,29 +231,37 @@ def _taped_loss_gradient(params: ParamSet, spec: ArchSpec, inputs: list, context
 
     def record(arrays):
         return _loss_grads(params.with_data(arrays[:n]), spec, Tensor(arrays[n]), arrays[n + 1],
-                           context, False).grads
+                           context, False).tensors()
 
     return tape_call(spec.tapes, "loss_gradient", inputs, record, context, k, shared)
 
 
 def class_gradient(params: ParamSet, spec: ArchSpec, batch: Tensor, label: int,
-                   create_graph: bool = False) -> GradSet:
+                   create_graph: bool = False) -> ParamSet:
     """Cross-entropy gradient w.r.t. params over a single-class batch."""
     labels = np.full(batch.shape[0], label, dtype=np.int64)
     return loss_gradient(params, spec, batch, labels, f"class {label} gradient", create_graph)
 
 
-def sgd_step(params: ParamSet, grads: GradSet, lr: float, direction: float = -1.0) -> None:
-    """In-place parameter update: theta <- theta + direction*lr*grad."""
-    grads.check_congruent(params)
-    for p, g in zip(params.tensors(), grads.grads):
-        p.data = p.data + p.data.dtype.type(direction * lr) * g.data
+def sgd_step(params: ParamSet, grads: ParamSet, lr: float, direction: float = -1.0) -> None:
+    """In-place parameter update: theta <- theta + direction*lr*grad; a
+    gradient set that does not match `params` raises ShapeError naming the
+    entry at fault."""
+    params.congruent_with(grads)
+    for p, g in zip(params.tensors(), grads.arrays()):
+        p.data = _sgd_update(p.data, g, lr, direction)
+
+
+def _sgd_update(p: np.ndarray, g: np.ndarray, lr: float, direction: float = -1.0) -> np.ndarray:
+    """theta + direction*lr*g with the step size in theta's dtype: the one
+    update rule of model parameters and synthetic pixels alike."""
+    return p + p.dtype.type(direction * lr) * g
 
 
 def match_step(params: ParamSet, spec: ArchSpec,
                real_batch_by_class: Mapping[int, Tensor],
                syn: SyntheticDataset, cfg: DistillConfig,
-               real_grads: Mapping[int, GradSet] | None = None) -> SyntheticDataset:
+               real_grads: Mapping[int, ParamSet] | None = None) -> SyntheticDataset:
     """One class-wise matching update of the synthetic pixels.
 
     For every class with a real batch: take the (possibly pre-computed) real
@@ -270,7 +273,7 @@ def match_step(params: ParamSet, spec: ArchSpec,
     the first failing class over all syn steps.  Model parameters are never
     touched.
     """
-    targets: dict[int, GradSet] = {}
+    targets: dict[int, ParamSet] = {}
     for c in sorted(real_batch_by_class):
         if c not in syn.buckets:
             syn.match_skips += 1
@@ -287,7 +290,7 @@ def match_step(params: ParamSet, spec: ArchSpec,
             for group in _stack_groups(spec, {c: (b.shape, b.dtype) for c, b in buckets.items()}):
                 pixel_grads.update(zip(group, _match_gradient(params, spec, targets, buckets,
                                                               group)))
-            buckets = {c: Tensor(b.data - b.data.dtype.type(cfg.syn_lr) * pixel_grads[c].data,
+            buckets = {c: Tensor(_sgd_update(b.data, pixel_grads[c].data, cfg.syn_lr),
                                  requires_grad=True) for c, b in buckets.items()}
         return buckets
 
@@ -295,7 +298,7 @@ def match_step(params: ParamSet, spec: ArchSpec,
     return syn
 
 
-def _match_gradient(params: ParamSet, spec: ArchSpec, g_reals: Mapping[int, GradSet],
+def _match_gradient(params: ParamSet, spec: ArchSpec, g_reals: Mapping[int, ParamSet],
                     buckets: Mapping[int, Tensor], classes: list[int]) -> list[Tensor]:
     """For each of `classes`, whose buckets share a shape: hypergrad of
     grad_distance(g_real, class gradient of the bucket) w.r.t. the bucket.
@@ -307,7 +310,7 @@ def _match_gradient(params: ParamSet, spec: ArchSpec, g_reals: Mapping[int, Grad
     `hypergrad` receives a one-node graph (distance <- bucket) whose VJP
     returns the class's slice of the replay."""
     n = len(params)
-    members = [[g.data for g in g_reals[c].grads]
+    members = [g_reals[c].arrays()
                + [buckets[c].data, np.full(buckets[c].shape[0], c, dtype=np.int64)]
                for c in classes]
     stacked = [np.stack(arrays) for arrays in zip(*members)] if len(classes) > 1 else members[0]
@@ -318,12 +321,11 @@ def _match_gradient(params: ParamSet, spec: ArchSpec, g_reals: Mapping[int, Grad
         bucket = Tensor(arrays[-2], requires_grad=True)
         g_syn = loss_gradient(params, spec, bucket, arrays[-1], f"class {classes[0]} gradient",
                               create_graph=True)
-        distance = grad_distance(GradSet([Tensor(a) for a in arrays[n:2 * n]], params.names,
-                                         params.roles), g_syn)
+        distance = grad_distance(params.like([Tensor(a) for a in arrays[n:2 * n]]), g_syn)
         recorded.append(hypergrad(distance, [bucket])[0])
         return [distance, recorded[0]]
 
-    dist, pixel = tape_call(spec.tapes, "match", [t.data for t in params.tensors()] + stacked,
+    dist, pixel = tape_call(spec.tapes, "match", params.arrays() + stacked,
                             record, f"class {classes[0]} gradient", len(classes), n)
     if len(classes) == 1:
         dist, pixel = dist[None], pixel[None]

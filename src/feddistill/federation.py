@@ -21,7 +21,7 @@ from .distill import DistillConfig, SyntheticDataset, class_gradient, init_synth
 from .errors import NumericError, ShapeError
 from .models import ArchSpec, InitDistribution, init_params
 from .seeds import derive_seed, make_rng
-from .tensor import GradSet, ParamSet, Tensor
+from .tensor import ParamSet, Tensor
 
 
 @dataclass
@@ -88,7 +88,7 @@ def local_round(client: ClientState, global_params: ParamSet, spec: ArchSpec,
     samples_touched = 0
     for _ in range(cfg.inner_steps):
         batches: dict[int, Tensor] = {}
-        grads: dict[int, GradSet] = {}
+        grads: dict[int, ParamSet] = {}
         sizes: dict[int, int] = {}
         for c in client.sampler.classes():
             idx = client.sampler.next_batch(c, cfg.real_batch_per_class)
@@ -101,11 +101,9 @@ def local_round(client: ClientState, global_params: ParamSet, spec: ArchSpec,
             match_step(params, spec, batches, client.syn, cfg, real_grads=grads)
             client.reuse_count += 1
         total = sum(sizes.values())
-        combined = [
-            Tensor(sum(sizes[c] * grads[c].grads[i].data for c in grads) / total)
-            for i in range(len(params))
-        ]
-        sgd_step(params, GradSet(combined, params.names, params.roles), cfg.model_lr)
+        combined = [Tensor(sum(sizes[c] * a for c, a in zip(grads, column)) / total)
+                    for column in zip(*[g.arrays() for g in grads.values()])]
+        sgd_step(params, params.like(combined), cfg.model_lr)
     return params, cfg.inner_steps, samples_touched
 
 
@@ -121,15 +119,15 @@ def aggregate(models: list[ParamSet], weights: list[float]) -> ParamSet:
         raise ShapeError(f"aggregation weights sum to {sum(weights)!r}, expected 1")
     first = models[0]
     for m in models[1:]:
-        if not first.congruent_with(m):
-            raise ShapeError("models are not shape-congruent")
-    entries = []
-    for i, (name, tensor, role) in enumerate(first):
-        acc = np.zeros_like(tensor.data)
-        for m, w in zip(models, weights):
-            acc = acc + tensor.data.dtype.type(w) * m.tensors()[i].data
-        entries.append((name, Tensor(acc, requires_grad=True), role))
-    return ParamSet(entries)
+        first.congruent_with(m)
+    out = []
+    for column in zip(*[m.arrays() for m in models]):
+        scale = column[0].dtype.type
+        acc = np.zeros_like(column[0])
+        for a, w in zip(column, weights):
+            acc = acc + scale(w) * a
+        out.append(Tensor(acc, requires_grad=True))
+    return first.like(out)
 
 
 def sample_clients(n_clients: int, fraction: float, seed: int, round_k: int) -> list[int]:
@@ -147,8 +145,7 @@ def sample_clients(n_clients: int, fraction: float, seed: int, round_k: int) -> 
 
 def train_federated(clients: list[ClientState], spec: ArchSpec, cfg: DistillConfig,
                     master_seed: int, participation: float = 1.0,
-                    distill_enabled: bool = True, dtype=np.float32,
-                    initial: ParamSet | None = None
+                    distill_enabled: bool = True, dtype=np.float32
                     ) -> tuple[GlobalModel, dict[int, SyntheticDataset], list[RoundRecord]]:
     """Full federated run: rounds of sample -> local_round -> aggregate.
 
@@ -157,11 +154,8 @@ def train_federated(clients: list[ClientState], spec: ArchSpec, cfg: DistillConf
     """
     if not clients:
         raise ShapeError("need at least one client")
-    if initial is not None:
-        params = initial.clone()
-    else:
-        params = init_params(spec, InitDistribution(seed=derive_seed(master_seed, "global-init")),
-                             dtype=dtype)
+    params = init_params(spec, InitDistribution(seed=derive_seed(master_seed, "global-init")),
+                         dtype=dtype)
     records: list[RoundRecord] = []
     for k in range(cfg.outer_steps):
         chosen = sample_clients(len(clients), participation, master_seed, k)

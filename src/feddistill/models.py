@@ -315,9 +315,9 @@ def _chunked_logits(params: ParamSet, spec: ArchSpec, samples: np.ndarray) -> np
     """Logits of every sample, in chunks of `_eval_rows` rows, without
     building graphs: one forward tape per chunk shape, with the parameters
     and the chunk as its inputs."""
-    dtype = params.tensors()[0].dtype
+    data = params.arrays()
+    dtype = data[0].dtype
     out = np.empty((samples.shape[0], spec.class_count), dtype=dtype)
-    data = [t.data for t in params.tensors()]
     with no_grad():
         for start, stop in _chunk_bounds(samples.shape[0], _eval_rows(spec, dtype.itemsize)):
             x = np.ascontiguousarray(samples[start:stop], dtype=dtype)

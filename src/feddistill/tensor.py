@@ -126,18 +126,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
-        out._detached_src = self._detached_src
-        slot = getattr(self, "_slot", None)
-        if slot is not None:
-            out._slot = slot
-        return out
-
     def check_finite(self, context: str = "") -> "Tensor":
         rec = _recorder()
         if rec is not None:
@@ -519,7 +507,8 @@ def col2im(cols: Tensor, image_shape, ksize: int, stride: int = 1, padding: int 
 
 
 class ParamSet:
-    """Ordered, named parameter tensors with a layer-role tag per entry.
+    """Ordered, named tensors with a layer-role tag per entry: a model's
+    parameters, or one gradient per parameter (`grad` returns one).
 
     Iteration order is fixed at construction and must be identical across
     clients and rounds; aggregation and checkpointing rely on it.
@@ -559,50 +548,42 @@ class ParamSet:
     def tensors(self) -> list[Tensor]:
         return list(self._tensors)
 
+    def arrays(self) -> list[np.ndarray]:
+        """The entries' raw arrays, in order."""
+        return [t.data for t in self._tensors]
+
     def get(self, name: str) -> Tensor:
         return self._tensors[self._names.index(name)]
+
+    def like(self, tensors: Sequence[Tensor]) -> "ParamSet":
+        """A set with this set's names and roles over `tensors`, one per
+        entry in order, taken as they are: each keeps its `requires_grad`."""
+        if len(tensors) != len(self._tensors):
+            raise ShapeError(f"{len(tensors)} tensors for {len(self._tensors)} entries")
+        out = ParamSet.__new__(ParamSet)
+        out._names, out._roles, out._tensors = self._names, self._roles, list(tensors)
+        return out
 
     def clone(self) -> "ParamSet":
         return self.with_data([t.data.copy() for t in self._tensors])
 
     def with_data(self, arrays: Sequence[np.ndarray]) -> "ParamSet":
         """The same entries over new arrays, one per entry, in order."""
-        return ParamSet((n, Tensor(a, requires_grad=t.requires_grad), r)
-                        for (n, t, r), a in zip(self, arrays))
+        return self.like([Tensor(a, requires_grad=t.requires_grad)
+                          for t, a in zip(self._tensors, arrays)])
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([t.data.reshape(-1) for t in self._tensors])
+        return np.concatenate([a.reshape(-1) for a in self.arrays()])
 
-    def congruent_with(self, other: "ParamSet") -> bool:
-        return (self._names == other._names
-                and all(a.shape == b.shape for a, b in zip(self._tensors, other._tensors)))
-
-
-class GradSet:
-    """One gradient tensor per ParamSet entry, same order and shapes."""
-
-    def __init__(self, grads: Sequence[Tensor], names: Sequence[str], roles: Sequence[str]):
-        if not (len(grads) == len(names) == len(roles)):
-            raise ShapeError("GradSet: mismatched entry counts")
-        self.grads = list(grads)
-        self.names = list(names)
-        self.roles = list(roles)
-
-    def __len__(self) -> int:
-        return len(self.grads)
-
-    def __iter__(self):
-        return iter(zip(self.names, self.grads, self.roles))
-
-    def check_congruent(self, params: ParamSet) -> None:
-        if self.names != params.names:
-            raise ShapeError("GradSet does not match ParamSet entry names")
-        for g, p in zip(self.grads, params.tensors()):
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([g.data.reshape(-1) for g in self.grads])
+    def congruent_with(self, other: "ParamSet") -> None:
+        """Raise ShapeError naming the first entry of `other` whose name or
+        shape differs from this set's."""
+        if len(other) != len(self):
+            raise ShapeError(f"{len(other)} entries where {len(self)} are expected")
+        for name, t, other_name, u in zip(self._names, self._tensors, other._names, other._tensors):
+            if other_name != name or u.data.shape != t.data.shape:
+                raise ShapeError(f"entry {other_name!r} of shape {u.shape} does not match "
+                                 f"entry {name!r} of shape {t.shape}")
 
 
 # ---- differentiation ---------------------------------------------------------
@@ -630,18 +611,13 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def grad(loss: Tensor, wrt, create_graph: bool = False):
     """Reverse-mode gradients of a scalar `loss` w.r.t. `wrt`.
 
-    `wrt` may be a ParamSet (returns a GradSet) or a sequence of tensors
-    (returns a list).  Parameters the loss does not reach get zero gradients.
-    With ``create_graph=True`` the returned gradients are graph nodes that can
-    be differentiated again; by default they are detached constants.
+    `wrt` may be a ParamSet (returns a ParamSet of gradients with its names
+    and roles) or a sequence of tensors (returns a list).  Parameters the
+    loss does not reach get zero gradients.  With ``create_graph=True`` the
+    returned gradients are graph nodes that can be differentiated again; by
+    default they are detached constants.
     """
-    if isinstance(wrt, ParamSet):
-        tensors, names, roles = wrt.tensors(), wrt.names, wrt.roles
-        as_gradset = True
-    else:
-        tensors = list(wrt)
-        names = roles = None
-        as_gradset = False
+    tensors = wrt.tensors() if isinstance(wrt, ParamSet) else list(wrt)
     if loss.data.size != 1:
         raise GraphError(f"gradient target must be scalar, got shape {loss.shape}")
     for t in tensors:
@@ -673,12 +649,9 @@ def grad(loss: Tensor, wrt, create_graph: bool = False):
         if g is None:
             g = Tensor(np.zeros(t.shape, dtype=t.data.dtype))
         if not create_graph:
-            g = g.detach() if g._parents else g
-            g._detached_src = True
+            g._detached_src = True      # built under no_grad: already without a graph
         out.append(g)
-    if as_gradset:
-        return GradSet(out, names, roles)
-    return out
+    return wrt.like(out) if isinstance(wrt, ParamSet) else out
 
 
 def hypergrad(match_loss: Tensor, wrt_inputs: Sequence[Tensor]) -> list[Tensor]:

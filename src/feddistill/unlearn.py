@@ -21,7 +21,7 @@ from .models import ArchSpec, _stack_groups
 from .seeds import make_rng
 from .tensor import ParamSet, Tensor, by_member
 
-from .distill import _taped_loss_gradient
+from .distill import _sgd_update, _taped_loss_gradient
 
 log = logging.getLogger(__name__)
 
@@ -265,13 +265,13 @@ class UnlearnEngine:
         replay per minibatch; each slice is bit for bit its own pass."""
         k = len(sets)
         xs, ys = [np.stack(a) for a in zip(*sets)] if k > 1 else sets[0]
-        arrays, b = [t.data for t in params.tensors()], self.pass_batch_size
+        arrays, b = params.arrays(), self.pass_batch_size
         for start in range(0, xs.shape[-4], b):
             batch = np.ascontiguousarray(xs[..., start:start + b, :, :, :])
             inputs = arrays + [batch, ys[..., start:start + b]]
             grads = _taped_loss_gradient(params, self.spec, inputs, context, k,
                                          shared=len(arrays) if start == 0 else 0)
-            arrays = [p + p.dtype.type(direction * lr) * g for p, g in zip(arrays, grads)]
+            arrays = [_sgd_update(p, g, lr, direction) for p, g in zip(arrays, grads)]
         return [params.with_data([a[i] for a in arrays]) for i in range(k)] if k > 1 \
             else [params.with_data(arrays)]
 

@@ -28,7 +28,7 @@ from feddistill.federation import aggregate as fed_aggregate
 from feddistill.federation import build_clients, train_federated
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
 from feddistill.seeds import derive_seed, make_rng
-from feddistill.tensor import GradSet, Tensor, grad, reshape
+from feddistill.tensor import Tensor, grad, reshape
 from feddistill.unlearn import UnlearnEngine, UnlearningRequest
 from helpers import finite_diff_check, fit_model, per_class_accuracy, take_slice
 
@@ -167,9 +167,9 @@ def _plain_fedavg_oracle(datasets, spec, cfg, master_seed):
                     counts[c] = batch.shape[0]
                     grads[c] = class_gradient(theta, spec, batch, c)
                 total = sum(counts.values())
-                mean = [Tensor(sum(counts[c] * grads[c].grads[i].data for c in grads) / total)
+                mean = [Tensor(sum(counts[c] * grads[c].arrays()[i] for c in grads) / total)
                         for i in range(len(theta))]
-                sgd_step(theta, GradSet(mean, theta.names, theta.roles), cfg.model_lr)
+                sgd_step(theta, theta.like(mean), cfg.model_lr)
             locals_.append(theta)
         weights = [s / sum(sizes) for s in sizes]
         entries = []

@@ -7,6 +7,7 @@ from feddistill.data import LabeledDataset, synth_blobs
 from feddistill.distill import (
     DistillConfig,
     SyntheticDataset,
+    _sgd_update,
     class_gradient,
     distill_standalone,
     fine_tune,
@@ -18,7 +19,7 @@ from feddistill.distill import (
 )
 from feddistill.errors import ShapeError
 from feddistill.models import ArchSpec, InitDistribution, init_params
-from feddistill.tensor import GradSet, Tensor
+from feddistill.tensor import ParamSet, Tensor
 
 MLP64 = ArchSpec(kind="mlp", input_shape=(1, 2, 2), class_count=2, hidden=(5,))
 
@@ -86,29 +87,27 @@ def test_sizing_budget_invariant():
 # ---- gradient distance -------------------------------------------------------
 
 
-def _random_gradset(seed, dtype=np.float64) -> tuple[GradSet, int]:
+def _random_gradset(seed, dtype=np.float64) -> tuple[ParamSet, int]:
     rng = _rng(seed)
     shapes = [("layer0.weight", (4, 5), "linear"), ("layer0.bias", (5,), "linear"),
               ("head.weight", (5, 3), "linear"), ("head.bias", (3,), "linear")]
-    grads, names, roles = [], [], []
+    entries = []
     rows = 0
     for name, shape, role in shapes:
-        grads.append(Tensor(rng.normal(size=shape), dtype=dtype))
-        names.append(name)
-        roles.append(role)
+        entries.append((name, Tensor(rng.normal(size=shape), dtype=dtype), role))
         rows += shape[1] if len(shape) == 2 else 1
-    return GradSet(grads, names, roles), rows
+    return ParamSet(entries), rows
 
 
 def test_grad_distance_identical_is_zero():
     ga, _ = _random_gradset(1)
-    gb = GradSet([Tensor(t.data.copy(), dtype=np.float64) for t in ga.grads], ga.names, ga.roles)
+    gb = ga.like([Tensor(a.copy(), dtype=np.float64) for a in ga.arrays()])
     assert abs(grad_distance(ga, gb).item()) < 1e-12
 
 
 def test_grad_distance_antipodal():
     ga, rows = _random_gradset(2)
-    gb = GradSet([Tensor(-t.data, dtype=np.float64) for t in ga.grads], ga.names, ga.roles)
+    gb = ga.like([Tensor(-a, dtype=np.float64) for a in ga.arrays()])
     assert abs(grad_distance(ga, gb).item() - 2.0 * rows) < 1e-9
 
 
@@ -118,7 +117,7 @@ def test_grad_distance_matches_rowwise_cosine_oracle():
     got = grad_distance(ga, gb).item()
 
     expected = 0.0
-    for ta, tb, role in zip(ga.grads, gb.grads, ga.roles):
+    for ta, tb, role in zip(ga.tensors(), gb.tensors(), ga.roles):
         a, b = ta.data, tb.data
         if a.ndim == 1:
             a, b = a[None, :], b[None, :]
@@ -142,16 +141,14 @@ def test_grad_distance_symmetry():
 
 def test_grad_distance_zero_rows_skipped():
     ga, rows = _random_gradset(7)
-    zeroed = [Tensor(np.zeros_like(t.data), dtype=np.float64) for t in ga.grads]
-    gb = GradSet(zeroed, ga.names, ga.roles)
+    gb = ga.like([Tensor(np.zeros_like(a), dtype=np.float64) for a in ga.arrays()])
     assert grad_distance(ga, gb).item() == 0.0
 
 
 def test_grad_distance_shape_mismatch():
     ga, _ = _random_gradset(8)
-    bad = GradSet([Tensor(np.zeros((2, 2)), dtype=np.float64) for _ in ga.grads],
-                  ga.names, ga.roles)
-    with pytest.raises(ShapeError):
+    bad = ga.like([Tensor(np.zeros((2, 2)), dtype=np.float64) for _ in range(len(ga))])
+    with pytest.raises(ShapeError, match="'layer0.weight'"):
         grad_distance(ga, bad)
 
 
@@ -297,3 +294,46 @@ def test_sgd_step_directions():
     np.testing.assert_allclose(descended, before - 0.1 * g.to_vector(), rtol=1e-12)
     sgd_step(params, g, lr=0.1, direction=+1.0)
     np.testing.assert_allclose(params.to_vector(), before, atol=1e-12)
+
+
+def test_sgd_step_names_the_entry_at_fault():
+    params = init_params(MLP64, InitDistribution(seed=1), dtype=np.float64)
+    before = params.to_vector().copy()
+    arrays = params.arrays()
+    renamed = ParamSet([(("other" if i == 1 else n), Tensor(np.zeros_like(a)), r)
+                        for i, ((n, _, r), a) in enumerate(zip(params, arrays))])
+    with pytest.raises(ShapeError, match="'other'"):
+        sgd_step(params, renamed, lr=0.1)
+    wrong = params.like([Tensor(np.zeros(a.shape + (1,) if i == 2 else a.shape))
+                         for i, a in enumerate(arrays)])
+    with pytest.raises(ShapeError, match=f"'{params.names[2]}'"):
+        sgd_step(params, wrong, lr=0.1)
+    np.testing.assert_array_equal(params.to_vector(), before)
+
+
+def _update_operands(dtype):
+    """Parameters and gradients over signed zeros, tiny, ordinary and
+    near-overflow magnitudes, every pairing of them."""
+    big = np.finfo(dtype).max / 3
+    tiny = np.finfo(dtype).tiny
+    values = np.array([0.0, -0.0, tiny, -tiny, 1e-3, -0.75, 1.0, 3.5, big, -big], dtype=dtype)
+    p, g = (a.ravel() for a in np.meshgrid(values, values, indexing="ij"))
+    rng = _rng(5)
+    p = np.concatenate([p, rng.normal(size=64).astype(dtype)])
+    g = np.concatenate([g, rng.normal(size=64).astype(dtype)])
+    return p, g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lr", [0.0, 0.01, 0.3, 1.0, 3.0])
+def test_sgd_update_equals_every_former_spelling(dtype, lr):
+    p, g = _update_operands(dtype)
+    with np.errstate(over="ignore"):
+        for direction in (-1.0, 1.0):
+            got = _sgd_update(p, g, lr, direction)
+            # the spelling of sgd_step and of the unlearning passes
+            assert got.dtype == p.dtype
+            assert got.tobytes() == (p + p.dtype.type(direction * lr) * g).tobytes()
+        # the spelling of the pixel update in match_step
+        old_pixels = p - p.dtype.type(lr) * g
+        assert _sgd_update(p, g, lr).tobytes() == old_pixels.tobytes()     # sign bits included

@@ -18,7 +18,7 @@ from feddistill.federation import (
 )
 from feddistill.models import ArchSpec, InitDistribution, init_params
 from feddistill.seeds import derive_seed, make_rng
-from feddistill.tensor import GradSet, ParamSet, Tensor
+from feddistill.tensor import ParamSet, Tensor
 
 MLP = ArchSpec(kind="mlp", input_shape=(1, 2, 2), class_count=2, hidden=(6,))
 
@@ -51,6 +51,41 @@ def test_aggregate_matches_scalar_oracle():
     out = aggregate(models, weights)
     expected = sum(w * m.to_vector() for w, m in zip(weights, models))
     np.testing.assert_allclose(out.to_vector(), expected, atol=1e-7)
+
+
+def _aggregate_per_entry(models, weights):
+    # the former loop: one pass over the models per entry
+    out = []
+    for i, (_, tensor, _) in enumerate(models[0]):
+        acc = np.zeros_like(tensor.data)
+        for m, w in zip(models, weights):
+            acc = acc + tensor.data.dtype.type(w) * m.tensors()[i].data
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 4, 100])
+def test_aggregate_equals_the_per_entry_loop_bitwise(k, dtype):
+    base = init_params(MLP, InitDistribution(seed=12), dtype=dtype)
+    rng = np.random.default_rng(k)
+    models = [base.with_data([a + rng.normal(size=a.shape).astype(dtype) for a in base.arrays()])
+              for _ in range(k)]
+    raw = rng.random(k)
+    weights = [float(w) for w in raw / raw.sum()]
+    weights[-1] = 1.0 - sum(weights[:-1])
+    out = aggregate(models, weights)
+    assert out.names == base.names and out.roles == base.roles
+    assert all(t.requires_grad for t in out.tensors())
+    assert [a.tobytes() for a in out.arrays()] == \
+        [a.tobytes() for a in _aggregate_per_entry(models, weights)]
+
+
+def test_aggregate_names_the_incongruent_entry():
+    a = init_params(MLP, InitDistribution(seed=2))
+    b = a.like([Tensor(np.zeros(t.shape[:1])) if i == 2 else t for i, t in enumerate(a.tensors())])
+    with pytest.raises(ShapeError, match=f"'{a.names[2]}'"):
+        aggregate([a, b], [0.5, 0.5])
 
 
 def test_aggregate_rejects_bad_weights():
@@ -124,9 +159,9 @@ def test_local_round_matches_plain_fedavg_bitwise_when_disabled():
             sizes[c] = batch.shape[0]
             grads[c] = class_gradient(theta, MLP, batch, c)
         total = sum(sizes.values())
-        mean_grads = [Tensor(sum(sizes[c] * grads[c].grads[i].data for c in grads) / total)
+        mean_grads = [Tensor(sum(sizes[c] * grads[c].arrays()[i] for c in grads) / total)
                       for i in range(len(theta))]
-        sgd_step(theta, GradSet(mean_grads, theta.names, theta.roles), cfg.model_lr)
+        sgd_step(theta, theta.like(mean_grads), cfg.model_lr)
 
     np.testing.assert_array_equal(got.to_vector(), theta.to_vector())
 

@@ -100,8 +100,8 @@ def _lockstep(arch, rows, dtype, k, seed):
     class's value."""
     spec, params, tape = _match_tape(arch, rows, dtype)
     g_reals, buckets, labels = _class_inputs(spec, params, rows, k, seed)
-    shared = [t.data for t in params.tensors()]
-    per_class = [shared + [g.data for g in gr.grads] + [b.data, np.full(rows, y)]
+    shared = params.arrays()
+    per_class = [shared + gr.arrays() + [b.data, np.full(rows, y)]
                  for gr, b, y in zip(g_reals, buckets, labels)]
     stacked_inputs = shared + [np.stack(a) for a in list(zip(*per_class))[len(shared):]]
     runs = []
@@ -201,7 +201,7 @@ def test_every_loss_gradient_kernel_is_group_invariant(arch, rows, dtype, per_me
     client's own step bit for bit.  No shape is excluded."""
     spec, params, tape = _loss_tape(arch, rows, dtype)
     rng = np.random.default_rng(17 * k + rows)
-    base = [t.data for t in params.tensors()]
+    base = params.arrays()
     members = []
     for c in range(k):
         own = [p + p.dtype.type(0.01 * c) * rng.normal(size=p.shape).astype(p.dtype)

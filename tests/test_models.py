@@ -185,7 +185,7 @@ def test_forward_ce_gradient_matches_fd_convnet():
         down = cross_entropy(forward(params, spec, batch), labels).item()
         fd[idx] = (up - down) / (2 * eps)
     w.data = base
-    ad = gs.grads[0].data
+    ad = gs.arrays()[0]
     denom = np.maximum(1e-6, np.maximum(np.abs(fd), np.abs(ad)))
     assert (np.abs(fd - ad) / denom).max() < 1e-4
 

@@ -3,6 +3,8 @@ bit, also after its inputs change enough to flip every data-dependent
 constant (ReLU masks, the row-max argmax, a zero gradient row)."""
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from feddistill.distill import (
 from feddistill.errors import NumericError
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
 from feddistill.tensor import (
-    GradSet,
+    ParamSet,
     Recorder,
     Tensor,
     _broadcast,
@@ -79,7 +81,7 @@ def _first_relu_mask(params, batch):
     return flat @ params.get("layer0.weight").data + params.get("layer0.bias").data > 0
 
 
-def _zero_rows(grads: GradSet) -> bool:
+def _zero_rows(grads: ParamSet) -> bool:
     """Whether grad_distance would mask a row out."""
     return any((~_as_rows(g, role).data.any(axis=1)).any() for _, g, role in grads)
 
@@ -101,8 +103,8 @@ def test_loss_gradient_replay_equals_the_interpreter(name, dtype):
     for p, b, y in zip(params, batches, labels):
         taped = loss_gradient(p, spec, b, y, "test")
         reference = _interpreted_gradient(p, spec, b, y)
-        assert _equal([g.data for g in taped.grads], [g.data for g in reference.grads])
-        assert all(g._detached_src and not g.requires_grad for g in taped.grads)
+        assert _equal(taped.arrays(), reference.arrays())
+        assert all(g._detached_src and not g.requires_grad for g in taped.tensors())
     # unit / filter 0 is dead in the first call only: a zero gradient row and,
     # on the convnet, a ReLU mask of all zeros on its channel
     zero_first = _interpreted_gradient(params[0], spec, batches[0], labels[0])
@@ -143,7 +145,7 @@ def test_local_pass_with_a_short_last_minibatch(name, dtype):
         for start in range(0, 10, 4):
             g = _interpreted_gradient(reference, spec, Tensor(xs[start:start + 4]),
                                       ys[start:start + 4])
-            for t, d in zip(reference.tensors(), g.grads):
+            for t, d in zip(reference.tensors(), g.tensors()):
                 t.data = t.data - t.data.dtype.type(0.1) * d.data
         assert taped.to_vector().tobytes() == reference.to_vector().tobytes()
     assert sorted(key[1][-2][0][0] for key in spec.tapes) == [2, 4]     # batch rows per tape
@@ -251,3 +253,15 @@ def test_one_match_tape_serves_every_class():
         assert taped.data.tobytes() == reference.data.tobytes()
     tapes = [t for key, t in spec.tapes.items() if key[0] == "match"]
     assert len(tapes) == 1 and tapes[0].replays == spec.class_count - 1
+
+
+def test_tape_digests_of_two_runs_are_equal():
+    """`artifact_digest.py --tapes` prints the same tape lines on every run of
+    the same tree: nothing in a line depends on the process."""
+    script = Path(__file__).resolve().parent / "artifact_digest.py"
+    runs = [subprocess.run([sys.executable, str(script), "--tapes", "--case", "blobs_small"],
+                           check=True, capture_output=True, text=True).stdout.splitlines()
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0] and all(line.startswith("blobs_small/") for line in runs[0])
+    assert {line.split()[1] for line in runs[0]} == {"loss_gradient", "match", "forward"}

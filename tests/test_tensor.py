@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from feddistill.errors import GraphError, NumericError, ShapeError
 from feddistill.tensor import (
-    GradSet,
     ParamSet,
     Tensor,
     add,
@@ -447,7 +446,7 @@ def test_check_finite_raises():
         t.check_finite("unit test")
 
 
-# ---- ParamSet / GradSet ------------------------------------------------------
+# ---- ParamSet ----------------------------------------------------------------
 
 
 def test_paramset_rejects_duplicate_names():
@@ -456,16 +455,56 @@ def test_paramset_rejects_duplicate_names():
         ParamSet([("w", t, "linear"), ("w", t, "linear")])
 
 
-def test_paramset_grad_returns_gradset():
+def _two_entry_params():
     w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     b = Tensor(np.array([0.5]), requires_grad=True)
-    params = ParamSet([("w", w, "linear"), ("b", b, "linear")])
-    loss = asum(mul(w, w)) + asum(b)
-    gs = grad(loss, params)
-    assert isinstance(gs, GradSet)
-    gs.check_congruent(params)
-    np.testing.assert_allclose(gs.grads[0].data, [2.0, 4.0])
-    np.testing.assert_allclose(gs.grads[1].data, [1.0])
+    return ParamSet([("w", w, "linear"), ("b", b, "norm")])
+
+
+def test_paramset_grad_returns_paramset():
+    params = _two_entry_params()
+    w, b = params.tensors()
+    gs = grad(asum(mul(w, w)) + asum(b), params)
+    assert isinstance(gs, ParamSet)
+    assert gs.names == params.names and gs.roles == params.roles
+    params.congruent_with(gs)
+    np.testing.assert_allclose(gs.arrays()[0], [2.0, 4.0])
+    np.testing.assert_allclose(gs.arrays()[1], [1.0])
+
+
+def test_grad_of_a_paramset_keeps_a_graph_only_when_asked():
+    params = _two_entry_params()
+    w, b = params.tensors()
+    loss = asum(mul(w, w)) + asum(mul(b, b))
+    plain = grad(loss, params)
+    assert all(not g.requires_grad and g._parents == () and g._detached_src
+               for g in plain.tensors())
+    kept = grad(loss, params, create_graph=True)
+    assert all(g.requires_grad and g._parents for g in kept.tensors())
+    assert [g.data.tobytes() for g in kept.tensors()] == [a.tobytes() for a in plain.arrays()]
+
+
+def test_paramset_like_takes_tensors_as_they_are():
+    params = _two_entry_params()
+    const, tracked = Tensor(np.zeros(2)), Tensor(np.ones(1), requires_grad=True)
+    out = params.like([const, tracked])
+    assert out.names == params.names and out.roles == params.roles
+    assert out.tensors()[0] is const and out.tensors()[1] is tracked
+    assert [t.requires_grad for t in out.tensors()] == [False, True]
+    with pytest.raises(ShapeError):
+        params.like([const])
+
+
+def test_paramset_congruent_with_names_the_entry_at_fault():
+    params = _two_entry_params()
+    renamed = ParamSet([("w", Tensor(np.zeros(2)), "linear"), ("c", Tensor(np.zeros(1)), "norm")])
+    with pytest.raises(ShapeError, match="'c'"):
+        params.congruent_with(renamed)
+    reshaped = params.like([Tensor(np.zeros(3)), Tensor(np.zeros(1))])
+    with pytest.raises(ShapeError, match=r"'w' of shape \(3,\)"):
+        params.congruent_with(reshaped)
+    with pytest.raises(ShapeError, match="1 entries where 2"):
+        params.congruent_with(ParamSet([("w", Tensor(np.zeros(2)), "linear")]))
 
 
 def test_paramset_clone_is_deep():
