@@ -8,7 +8,8 @@
 
 Exit codes: 0 ok, 2 validation failure (including unservable requests: an
 unknown class or client, or a request line that cannot be parsed), 3 numeric
-abort, 4 I/O or format error.
+abort, 4 I/O or format error, 5 out of memory (an allocation failed; the
+message names the command).
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+EXIT_MEMORY = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,6 +115,9 @@ def main(argv=None) -> int:
     except (DataFormatError, OSError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as e:
+        print(f"out of memory in {args.command}: {e}", file=sys.stderr)
+        return EXIT_MEMORY
     raise AssertionError("unreachable")
 
 

@@ -31,9 +31,11 @@ class LabeledDataset:
             raise DataFormatError(
                 f"{self.labels.shape[0] if self.labels.ndim else 0} labels for "
                 f"{self.samples.shape[0]} samples")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise DataFormatError(
-                f"label {int(self.labels.max())} out of range for {self.class_count} classes")
+        if self.labels.size:
+            low, high = int(self.labels.min()), int(self.labels.max())
+            if low < 0 or high >= self.class_count:
+                raise DataFormatError(f"label {low if low < 0 else high} out of range "
+                                      f"for {self.class_count} classes")
 
     def __len__(self) -> int:
         return int(self.samples.shape[0])

@@ -6,6 +6,14 @@ that is what lets a gradient-distance be differentiated with respect to the
 inputs that produced one of the gradients (`hypergrad`).  A binary op's rule
 computes no gradient for an operand that needs none.
 
+The graph holds no data.  A tensor in a graph has a `_Node`: whether it needs
+a gradient, its parents' nodes and its VJP.  So a forward array lives only
+while the caller, a tape slot or a VJP closure holds it, and a closure saves
+only what its rule reads (`mul`, `div` and `matmul` keep an operand only for
+the other's gradient).  `grad` frees no saved tensor: a graph can be
+differentiated twice.  `Tensor._parents` yields the parents' nodes, each with
+`_parents` in turn; the benchmark's tracer walks it to count a graph's nodes.
+
 Arithmetic is strict: binary ops require identical shapes and dtypes.  The
 only sanctioned broadcasts are explicit (`expand`) and scalar constants.
 Default precision is 32-bit; pass float64 arrays for the 64-bit test graphs.
@@ -74,16 +82,30 @@ class no_grad(contextlib.AbstractContextManager):
         return False
 
 
-class Tensor:
-    """N-dimensional float array, optionally a node of a differentiation graph.
+class _Node:
+    """A tensor's place in a differentiation graph, without its data: whether
+    it needs a gradient, its parents' nodes and its VJP."""
 
+    __slots__ = ("requires_grad", "_parents", "_vjp")
+
+    def __init__(self, requires_grad: bool, parents: tuple = (), vjp: Callable | None = None):
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._vjp = vjp
+
+
+class Tensor:
+    """N-dimensional float array, optionally part of a differentiation graph.
+
+    `_graph_node` is the tensor's `_Node`: set from the start on a tensor
+    that requires grad, and on first use as a parent for any other.
     `_detached_src` marks values that (transitively) came out of a backward
     pass run without graph retention; `hypergrad` uses it to give a precise
     error instead of silently returning zeros.  `_slot` is set only on the
     tensors a `Recorder` has seen: (recorder serial, slot index).
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_detached_src", "_slot")
+    __slots__ = ("data", "requires_grad", "_graph_node", "_detached_src", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -99,9 +121,14 @@ class Tensor:
             raise ShapeError(f"unsupported dtype {arr.dtype}; use float32 or float64")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable | None = None
+        self._graph_node = _Node(True) if requires_grad else None
         self._detached_src = False
+
+    @property
+    def _parents(self) -> tuple[_Node, ...]:
+        """The nodes of this tensor's parents; each has `_parents` in turn."""
+        node = self._graph_node
+        return () if node is None else node._parents
 
     # ---- inspection -----------------------------------------------------------
 
@@ -120,11 +147,6 @@ class Tensor:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
 
     def check_finite(self, context: str = "") -> "Tensor":
         rec = _recorder()
@@ -190,12 +212,29 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable | None) -
     for p in parents:
         track = track or p.requires_grad
         detached = detached or p._detached_src
-    track = track and _state.recording
-    out.requires_grad = track
-    out._parents = parents if track else ()
-    out._vjp = vjp if track else None
     out._detached_src = detached
+    if track and _state.recording:
+        # unrolled, as this runs once per graph node: every op takes one or two
+        # tensors, and the one parent of a tracked unary op has its node already
+        if len(parents) == 1:
+            nodes = (parents[0]._graph_node,)
+        else:
+            a, b = parents
+            nodes = (a._graph_node or _graph_node(a), b._graph_node or _graph_node(b))
+        out.requires_grad = True
+        out._graph_node = _Node(True, nodes, vjp)
+    else:
+        out.requires_grad = False
+        out._graph_node = None
     return out
+
+
+def _graph_node(t: Tensor) -> _Node:
+    """The node of `t`, made on first use for a tensor that needs no gradient."""
+    node = t._graph_node
+    if node is None:
+        node = t._graph_node = _Node(False)
+    return node
 
 
 def _op(kernel: Callable, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
@@ -238,21 +277,25 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "sub")
-    return _op(np.subtract, (a, b), lambda g: (g, neg(g) if b.requires_grad else None))
+    grad_b = b.requires_grad
+    return _op(np.subtract, (a, b), lambda g: (g, neg(g) if grad_b else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "mul")
-    return _op(np.multiply, (a, b), lambda g: (mul(g, b) if a.requires_grad else None,
-                                               mul(g, a) if b.requires_grad else None))
+    # each operand is saved only for the other one's gradient
+    sa, sb = (a if b.requires_grad else None), (b if a.requires_grad else None)
+    return _op(np.multiply, (a, b), lambda g: (None if sb is None else mul(g, sb),
+                                               None if sa is None else mul(g, sa)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "div")
+    grad_a, sa = a.requires_grad, (a if b.requires_grad else None)
 
     def vjp(g):
-        return (div(g, b) if a.requires_grad else None,
-                neg(div(mul(g, a), mul(b, b))) if b.requires_grad else None)
+        return (div(g, b) if grad_a else None,
+                None if sa is None else neg(div(mul(g, sa), mul(b, b))))
 
     return _op(np.true_divide, (a, b), vjp)
 
@@ -430,9 +473,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.dtype != b.data.dtype:
         raise ShapeError(f"matmul: dtypes must match, got {a.data.dtype} vs {b.data.dtype}")
 
+    sa, sb = (a if b.requires_grad else None), (b if a.requires_grad else None)
+
     def vjp(g):
-        return (matmul(g, transpose(b)) if a.requires_grad else None,
-                matmul(transpose(a), g) if b.requires_grad else None)
+        return (None if sb is None else matmul(g, transpose(sb)),
+                None if sa is None else matmul(transpose(sa), g))
 
     return _op(_matmul, (a, b), vjp)
 
@@ -537,14 +582,6 @@ class ParamSet:
     def __iter__(self):
         return iter(zip(self._names, self._tensors, self._roles))
 
-    @property
-    def names(self) -> list[str]:
-        return list(self._names)
-
-    @property
-    def roles(self) -> list[str]:
-        return list(self._roles)
-
     def tensors(self) -> list[Tensor]:
         return list(self._tensors)
 
@@ -572,9 +609,6 @@ class ParamSet:
         return self.like([Tensor(a, requires_grad=t.requires_grad)
                           for t, a in zip(self._tensors, arrays)])
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.reshape(-1) for a in self.arrays()])
-
     def congruent_with(self, other: "ParamSet") -> None:
         """Raise ShapeError naming the first entry of `other` whose name or
         shape differs from this set's."""
@@ -589,10 +623,10 @@ class ParamSet:
 # ---- differentiation ---------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root: _Node) -> list[_Node]:
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -624,12 +658,12 @@ def grad(loss: Tensor, wrt, create_graph: bool = False):
         if not t.requires_grad:
             raise GraphError("a wrt tensor does not require grad")
 
-    seed = Tensor(np.ones(loss.shape, dtype=loss.data.dtype))
-    grads: dict[int, Tensor] = {id(loss): seed}
-    wrt_ids = {id(t) for t in tensors}
+    root = _graph_node(loss)
+    grads: dict[int, Tensor] = {id(root): Tensor(np.ones(loss.shape, dtype=loss.data.dtype))}
+    wrt_ids = {id(t._graph_node) for t in tensors}
     ctx = contextlib.nullcontext() if create_graph else no_grad()
     with ctx:
-        for node in reversed(_topo_order(loss)):
+        for node in reversed(_topo_order(root)):
             g = grads.get(id(node))
             if g is None:
                 continue
@@ -645,7 +679,7 @@ def grad(loss: Tensor, wrt, create_graph: bool = False):
 
     out: list[Tensor] = []
     for t in tensors:
-        g = grads.get(id(t))
+        g = grads.get(id(t._graph_node))
         if g is None:
             g = Tensor(np.zeros(t.shape, dtype=t.data.dtype))
         if not create_graph:
@@ -667,8 +701,8 @@ def hypergrad(match_loss: Tensor, wrt_inputs: Sequence[Tensor]) -> list[Tensor]:
             raise GraphError("hypergrad inputs must require grad")
     if match_loss.data.size != 1:
         raise GraphError(f"hypergrad target must be scalar, got shape {match_loss.shape}")
-    ancestors = {id(node) for node in _topo_order(match_loss)}
-    if not any(id(t) in ancestors for t in wrt_list):
+    ancestors = {id(node) for node in _topo_order(_graph_node(match_loss))}
+    if not any(id(t._graph_node) in ancestors for t in wrt_list):
         if match_loss._detached_src:
             raise GraphError(
                 "graph was not retained through the inner gradient; "

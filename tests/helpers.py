@@ -113,6 +113,16 @@ def total_size(params: ParamSet) -> int:
     return sum(t.size for t in params.tensors())
 
 
+def to_vector(params: ParamSet) -> np.ndarray:
+    """Every entry's array, flattened and concatenated in order."""
+    return np.concatenate([a.reshape(-1) for a in params.arrays()])
+
+
+def layout(params: ParamSet) -> list[tuple[str, str]]:
+    """The (name, role) of every entry, in order."""
+    return [(name, role) for name, _, role in params]
+
+
 def im2col_reference(arr: np.ndarray, ksize: int, stride: int = 1, padding: int = 0) -> np.ndarray:
     """NCHW patch matrix through `np.pad` and a window view; `tensor.im2col`
     must equal it bit for bit."""

@@ -30,7 +30,7 @@ from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward
 from feddistill.seeds import derive_seed, make_rng
 from feddistill.tensor import Tensor, grad, reshape
 from feddistill.unlearn import UnlearnEngine, UnlearningRequest
-from helpers import finite_diff_check, fit_model, per_class_accuracy, take_slice
+from helpers import finite_diff_check, fit_model, per_class_accuracy, take_slice, to_vector
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -103,7 +103,7 @@ def test_c01_autodiff_matches_finite_differences():
             return cross_entropy(forward(_ParamView(entries), spec, batch), labels)
 
         worst_grad = max(worst_grad,
-                         finite_diff_check(loss_of_flat, Tensor(params.to_vector()),
+                         finite_diff_check(loss_of_flat, Tensor(to_vector(params)),
                                            eps=1e-3, rel_floor=1e-4))
 
         real_batch = Tensor(rng.random((6, 1, 2, 3)), dtype=np.float64)
@@ -194,7 +194,7 @@ def test_c03_integrated_distillation_equivalence():
     model_off, _, _ = train_federated(off_clients, spec, cfg, master_seed=9,
                                       distill_enabled=False)
     oracle = _plain_fedavg_oracle(parts, spec, cfg, master_seed=9)
-    plain_ok = np.array_equal(model_off.params.to_vector(), oracle.to_vector())
+    plain_ok = np.array_equal(to_vector(model_off.params), to_vector(oracle))
 
     trajectory_ok = True
     for k in (1, 2, 3):
@@ -205,7 +205,7 @@ def test_c03_integrated_distillation_equivalence():
         off_k, _, _ = train_federated(
             build_clients(parts, master_seed=9, scale_s=20, distill_enabled=False),
             spec, cfg_k, master_seed=9, distill_enabled=False)
-        trajectory_ok &= np.array_equal(on_k.params.to_vector(), off_k.params.to_vector())
+        trajectory_ok &= np.array_equal(to_vector(on_k.params), to_vector(off_k.params))
     _verdict(3, "integrated distillation equivalence", plain_ok and trajectory_ok,
              f"plain-FedAvg bitwise {plain_ok}, trajectory bitwise {trajectory_ok}")
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from feddistill import runner
 from feddistill.cli import main
 from feddistill.config import validate_config
 
@@ -128,7 +129,8 @@ def test_numeric_abort_exit_code(tmp_path, capsys):
                  "dim": [1, 2, 2], "separation": 0.0},
         distill={"enabled": False, "rounds": 30, "local_steps": 10, "model_lr": 1e30,
                  "real_batch_per_class": 16, "scale_s": 20.0})
-    code = main(["run", str(config)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", str(config)])
     assert code == 3
     err = capsys.readouterr().err
     assert "numeric abort" in err and "round" in err
@@ -141,9 +143,26 @@ def test_a_non_finite_grouped_match_update_exits_3(tmp_path, capsys):
         distill={"enabled": True, "rounds": 3, "local_steps": 2, "syn_lr": 1e38,
                  "model_lr": 0.1, "real_batch_per_class": 16, "scale_s": 20.0},
         baselines={"retrain": False, "sga_original": False})
-    assert main(["run", str(config)]) == 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(config)]) == 3
     err = capsys.readouterr().err
     assert "numeric abort: round 0, client 1: non-finite values in class 0 gradient" in err
+
+
+@pytest.mark.parametrize("command", ["run", "distill"])
+def test_an_allocation_failure_exits_5_naming_the_command(tmp_path, monkeypatch, capsys, command):
+    # the blobs world is the first large allocation of a run; fail it without allocating
+    def unable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 224. GiB for an array with shape "
+                          "(100000, 100000, 3) and data type float64")
+
+    monkeypatch.setattr(runner, "synth_blobs", unable)
+    assert main([command, str(_config(tmp_path))]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (f"out of memory in {command}: Unable to allocate 224. GiB "
+                                    "for an array with shape (100000, 100000, 3) and data type "
+                                    "float64")
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -179,6 +179,12 @@ def test_class_index_single_label():
     assert [len(ix) for ix in index] == [0, 0, 6, 0]
 
 
+@pytest.mark.parametrize("labels, bad", [([-1, 0, 1], -1), ([-2, 3, 1], -2), ([0, 1, 3], 3)])
+def test_labeled_dataset_names_the_label_out_of_range(labels, bad):
+    with pytest.raises(DataFormatError, match=rf"^label {bad} out of range for 3 classes$"):
+        LabeledDataset(np.zeros((3, 1, 2, 2), dtype=np.float32), np.array(labels), class_count=3)
+
+
 def test_batch_sampler_epoch_pass_without_replacement():
     ds = synth_blobs(2, 10, (1, 2, 2), separation=3.0, seed=15)
     sampler = ClassBatchSampler(ds, make_rng(0, "test"))

@@ -21,6 +21,8 @@ from feddistill.errors import ShapeError
 from feddistill.models import ArchSpec, InitDistribution, init_params
 from feddistill.tensor import ParamSet, Tensor
 
+from helpers import layout, to_vector
+
 MLP64 = ArchSpec(kind="mlp", input_shape=(1, 2, 2), class_count=2, hidden=(5,))
 
 
@@ -102,22 +104,22 @@ def _random_gradset(seed, dtype=np.float64) -> tuple[ParamSet, int]:
 def test_grad_distance_identical_is_zero():
     ga, _ = _random_gradset(1)
     gb = ga.like([Tensor(a.copy(), dtype=np.float64) for a in ga.arrays()])
-    assert abs(grad_distance(ga, gb).item()) < 1e-12
+    assert abs(grad_distance(ga, gb).data.item()) < 1e-12
 
 
 def test_grad_distance_antipodal():
     ga, rows = _random_gradset(2)
     gb = ga.like([Tensor(-a, dtype=np.float64) for a in ga.arrays()])
-    assert abs(grad_distance(ga, gb).item() - 2.0 * rows) < 1e-9
+    assert abs(grad_distance(ga, gb).data.item() - 2.0 * rows) < 1e-9
 
 
 def test_grad_distance_matches_rowwise_cosine_oracle():
     ga, _ = _random_gradset(3)
     gb, _ = _random_gradset(4)
-    got = grad_distance(ga, gb).item()
+    got = grad_distance(ga, gb).data.item()
 
     expected = 0.0
-    for ta, tb, role in zip(ga.tensors(), gb.tensors(), ga.roles):
+    for (_, ta, role), tb in zip(ga, gb.tensors()):
         a, b = ta.data, tb.data
         if a.ndim == 1:
             a, b = a[None, :], b[None, :]
@@ -136,13 +138,13 @@ def test_grad_distance_matches_rowwise_cosine_oracle():
 def test_grad_distance_symmetry():
     ga, _ = _random_gradset(5)
     gb, _ = _random_gradset(6)
-    assert grad_distance(ga, gb).item() == grad_distance(gb, ga).item()
+    assert grad_distance(ga, gb).data.item() == grad_distance(gb, ga).data.item()
 
 
 def test_grad_distance_zero_rows_skipped():
     ga, rows = _random_gradset(7)
     gb = ga.like([Tensor(np.zeros_like(a), dtype=np.float64) for a in ga.arrays()])
-    assert grad_distance(ga, gb).item() == 0.0
+    assert grad_distance(ga, gb).data.item() == 0.0
 
 
 def test_grad_distance_shape_mismatch():
@@ -174,9 +176,9 @@ def test_match_step_zero_lr_is_identity():
 
 def test_match_step_never_touches_params():
     _, params, syn, batches = _match_fixture()
-    before = params.to_vector().copy()
+    before = to_vector(params).copy()
     match_step(params, MLP64, batches, syn, DistillConfig(syn_lr=0.5, syn_steps=3))
-    np.testing.assert_array_equal(params.to_vector(), before)
+    np.testing.assert_array_equal(to_vector(params), before)
 
 
 def test_match_step_equals_fd_gradient_step():
@@ -189,7 +191,7 @@ def test_match_step_equals_fd_gradient_step():
     def distance_at(pixels_flat):
         t = Tensor(pixels_flat.reshape(bucket0.shape), requires_grad=True, dtype=np.float64)
         g_syn = class_gradient(params, MLP64, t, c, create_graph=True)
-        return grad_distance(g_real, g_syn).item()
+        return grad_distance(g_real, g_syn).data.item()
 
     eps = 1e-5
     flat = bucket0.reshape(-1).astype(np.float64)
@@ -222,7 +224,7 @@ def test_match_step_descends_distance():
 
     def current_distance():
         g_syn = class_gradient(params, MLP64, syn.buckets[c], c, create_graph=True)
-        return grad_distance(g_real, g_syn).item()
+        return grad_distance(g_real, g_syn).data.item()
 
     decreases = 0
     steps = 50
@@ -288,17 +290,17 @@ def test_sgd_step_directions():
     data = synth_blobs(2, 10, (1, 2, 2), separation=3.0, seed=7)
     batch = Tensor(data.samples[:6], dtype=np.float64)
     g = class_gradient(params, MLP64, batch, 0)
-    before = params.to_vector().copy()
+    before = to_vector(params).copy()
     sgd_step(params, g, lr=0.1)
-    descended = params.to_vector().copy()
-    np.testing.assert_allclose(descended, before - 0.1 * g.to_vector(), rtol=1e-12)
+    descended = to_vector(params).copy()
+    np.testing.assert_allclose(descended, before - 0.1 * to_vector(g), rtol=1e-12)
     sgd_step(params, g, lr=0.1, direction=+1.0)
-    np.testing.assert_allclose(params.to_vector(), before, atol=1e-12)
+    np.testing.assert_allclose(to_vector(params), before, atol=1e-12)
 
 
 def test_sgd_step_names_the_entry_at_fault():
     params = init_params(MLP64, InitDistribution(seed=1), dtype=np.float64)
-    before = params.to_vector().copy()
+    before = to_vector(params).copy()
     arrays = params.arrays()
     renamed = ParamSet([(("other" if i == 1 else n), Tensor(np.zeros_like(a)), r)
                         for i, ((n, _, r), a) in enumerate(zip(params, arrays))])
@@ -306,9 +308,9 @@ def test_sgd_step_names_the_entry_at_fault():
         sgd_step(params, renamed, lr=0.1)
     wrong = params.like([Tensor(np.zeros(a.shape + (1,) if i == 2 else a.shape))
                          for i, a in enumerate(arrays)])
-    with pytest.raises(ShapeError, match=f"'{params.names[2]}'"):
+    with pytest.raises(ShapeError, match=f"'{layout(params)[2][0]}'"):
         sgd_step(params, wrong, lr=0.1)
-    np.testing.assert_array_equal(params.to_vector(), before)
+    np.testing.assert_array_equal(to_vector(params), before)
 
 
 def _update_operands(dtype):

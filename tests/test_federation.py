@@ -20,6 +20,8 @@ from feddistill.models import ArchSpec, InitDistribution, init_params
 from feddistill.seeds import derive_seed, make_rng
 from feddistill.tensor import ParamSet, Tensor
 
+from helpers import layout, to_vector
+
 MLP = ArchSpec(kind="mlp", input_shape=(1, 2, 2), class_count=2, hidden=(6,))
 
 
@@ -35,22 +37,22 @@ def _world(n_clients=2, per_class=40, seed=0, distill=True, s=20):
 def test_aggregate_identical_models_idempotent():
     params = init_params(MLP, InitDistribution(seed=1))
     out = aggregate([params, params.clone(), params.clone()], [0.2, 0.3, 0.5])
-    np.testing.assert_allclose(out.to_vector(), params.to_vector(), rtol=1e-6)
+    np.testing.assert_allclose(to_vector(out), to_vector(params), rtol=1e-6)
 
 
 def test_aggregate_degenerate_weights_select_first():
     a = init_params(MLP, InitDistribution(seed=2))
     b = init_params(MLP, InitDistribution(seed=3))
     out = aggregate([a, b], [1.0, 0.0])
-    np.testing.assert_array_equal(out.to_vector(), a.to_vector())
+    np.testing.assert_array_equal(to_vector(out), to_vector(a))
 
 
 def test_aggregate_matches_scalar_oracle():
     models = [init_params(MLP, InitDistribution(seed=s), dtype=np.float64) for s in (4, 5, 6)]
     weights = [0.2, 0.3, 0.5]
     out = aggregate(models, weights)
-    expected = sum(w * m.to_vector() for w, m in zip(weights, models))
-    np.testing.assert_allclose(out.to_vector(), expected, atol=1e-7)
+    expected = sum(w * to_vector(m) for w, m in zip(weights, models))
+    np.testing.assert_allclose(to_vector(out), expected, atol=1e-7)
 
 
 def _aggregate_per_entry(models, weights):
@@ -75,7 +77,7 @@ def test_aggregate_equals_the_per_entry_loop_bitwise(k, dtype):
     weights = [float(w) for w in raw / raw.sum()]
     weights[-1] = 1.0 - sum(weights[:-1])
     out = aggregate(models, weights)
-    assert out.names == base.names and out.roles == base.roles
+    assert layout(out) == layout(base)
     assert all(t.requires_grad for t in out.tensors())
     assert [a.tobytes() for a in out.arrays()] == \
         [a.tobytes() for a in _aggregate_per_entry(models, weights)]
@@ -84,7 +86,7 @@ def test_aggregate_equals_the_per_entry_loop_bitwise(k, dtype):
 def test_aggregate_names_the_incongruent_entry():
     a = init_params(MLP, InitDistribution(seed=2))
     b = a.like([Tensor(np.zeros(t.shape[:1])) if i == 2 else t for i, t in enumerate(a.tensors())])
-    with pytest.raises(ShapeError, match=f"'{a.names[2]}'"):
+    with pytest.raises(ShapeError, match=f"'{layout(a)[2][0]}'"):
         aggregate([a, b], [0.5, 0.5])
 
 
@@ -125,7 +127,7 @@ def test_local_round_zero_steps_is_identity():
     out, steps, touched = local_round(clients[0], params, MLP,
                                       DistillConfig(inner_steps=0), distill_enabled=True)
     assert steps == 0 and touched == 0
-    np.testing.assert_array_equal(out.to_vector(), params.to_vector())
+    np.testing.assert_array_equal(to_vector(out), to_vector(params))
     for c in syn_before:
         np.testing.assert_array_equal(clients[0].syn.buckets[c].data, syn_before[c])
 
@@ -163,7 +165,7 @@ def test_local_round_matches_plain_fedavg_bitwise_when_disabled():
                       for i in range(len(theta))]
         sgd_step(theta, theta.like(mean_grads), cfg.model_lr)
 
-    np.testing.assert_array_equal(got.to_vector(), theta.to_vector())
+    np.testing.assert_array_equal(to_vector(got), to_vector(theta))
 
 
 def test_local_round_trajectory_unchanged_by_distillation():
@@ -173,7 +175,7 @@ def test_local_round_trajectory_unchanged_by_distillation():
     off = _world(seed=4, distill=False)
     got_on, _, _ = local_round(on[0], params, MLP, cfg, distill_enabled=True)
     got_off, _, _ = local_round(off[0], params, MLP, cfg, distill_enabled=False)
-    np.testing.assert_array_equal(got_on.to_vector(), got_off.to_vector())
+    np.testing.assert_array_equal(to_vector(got_on), to_vector(got_off))
     # and the synthetic set did change on the enabled side
     fresh = _world(seed=4, distill=True)
     assert any((on[0].syn.buckets[c].data != fresh[0].syn.buckets[c].data).any()
@@ -188,7 +190,7 @@ def test_train_federated_zero_rounds_returns_init():
     cfg = DistillConfig(outer_steps=0, inner_steps=2)
     model, syn, records = train_federated(clients, MLP, cfg, master_seed=6)
     expected = init_params(MLP, InitDistribution(seed=derive_seed(6, "global-init")))
-    np.testing.assert_array_equal(model.params.to_vector(), expected.to_vector())
+    np.testing.assert_array_equal(to_vector(model.params), to_vector(expected))
     assert records == []
 
 
@@ -205,14 +207,14 @@ def test_train_federated_single_client_equals_centralized():
     theta = init_params(MLP, InitDistribution(seed=derive_seed(9, "global-init")))
     for _ in range(cfg.outer_steps):
         theta, _, _ = local_round(oracle_clients[0], theta, MLP, cfg, distill_enabled=False)
-    np.testing.assert_array_equal(model.params.to_vector(), theta.to_vector())
+    np.testing.assert_array_equal(to_vector(model.params), to_vector(theta))
 
 
 def test_train_federated_bitwise_reproducible():
     cfg = DistillConfig(outer_steps=2, inner_steps=2, real_batch_per_class=8)
     m1, s1, _ = train_federated(_world(seed=8), MLP, cfg, master_seed=12)
     m2, s2, _ = train_federated(_world(seed=8), MLP, cfg, master_seed=12)
-    np.testing.assert_array_equal(m1.params.to_vector(), m2.params.to_vector())
+    np.testing.assert_array_equal(to_vector(m1.params), to_vector(m2.params))
     for cid in s1:
         for c in s1[cid].buckets:
             np.testing.assert_array_equal(s1[cid].buckets[c].data, s2[cid].buckets[c].data)

@@ -298,7 +298,8 @@ def test_the_match_fallback_names_the_first_failing_class_over_all_syn_steps():
             for c in range(4)}
     data[2][0, 0, 0, 0] = np.nan
     syn = SyntheticDataset({c: Tensor(d, requires_grad=True) for c, d in data.items()})
-    with pytest.raises(NumericError, match="^non-finite values in class 0 gradient$"):
+    with pytest.raises(NumericError, match="^non-finite values in class 0 gradient$"), \
+            np.errstate(over="ignore", invalid="ignore"):
         match_step(params, spec, batches, syn, DistillConfig(syn_steps=2, syn_lr=1e39),
                    real_grads=grads)
 

@@ -7,7 +7,7 @@ from feddistill.errors import ShapeError
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
 from feddistill.models import _avg_pool
 from feddistill.tensor import Tensor, asum, exp, grad, mean, mul, reshape
-from helpers import finite_diff_check, take_slice, total_size
+from helpers import finite_diff_check, take_slice, to_vector, total_size
 
 
 MLP = ArchSpec(kind="mlp", input_shape=(1, 1, 4), class_count=3, hidden=(8,))
@@ -93,7 +93,7 @@ def test_instance_norm_statistics():
 def test_cross_entropy_uniform_logits():
     logits = Tensor(np.zeros((7, 10)))
     loss = cross_entropy(logits, np.zeros(7, dtype=np.int64))
-    assert abs(loss.item() - np.log(10.0)) < 1e-6
+    assert abs(loss.data.item() - np.log(10.0)) < 1e-6
 
 
 def test_cross_entropy_confident_logits_monotone():
@@ -101,7 +101,7 @@ def test_cross_entropy_confident_logits_monotone():
     for scale in (1.0, 5.0, 25.0):
         logits = np.full((4, 3), 0.0, dtype=np.float64)
         logits[:, 1] = scale
-        losses.append(cross_entropy(Tensor(logits), np.ones(4, dtype=np.int64)).item())
+        losses.append(cross_entropy(Tensor(logits), np.ones(4, dtype=np.int64)).data.item())
     assert losses[0] > losses[1] > losses[2]
     assert losses[2] < 1e-9
 
@@ -110,7 +110,7 @@ def test_cross_entropy_against_logsumexp_reference():
     rng = _rng(4)
     logits = rng.normal(size=(9, 5))
     labels = rng.integers(0, 5, size=9)
-    loss = cross_entropy(Tensor(logits), labels).item()
+    loss = cross_entropy(Tensor(logits), labels).data.item()
     ref = np.mean([np.log(np.exp(logits[i]).sum()) - logits[i, labels[i]] for i in range(9)])
     assert abs(loss - ref) < 1e-6
 
@@ -126,7 +126,7 @@ def test_forward_ce_gradient_matches_fd_mlp():
     batch = rng.random((6, 1, 1, 4))
     labels = rng.integers(0, 3, size=6)
 
-    flat0 = params.to_vector()
+    flat0 = to_vector(params)
     shapes = [(n, t.shape) for n, t, _ in params]
 
     def f(vec: Tensor):
@@ -135,7 +135,7 @@ def test_forward_ce_gradient_matches_fd_mlp():
 
         entries = []
         off = 0
-        for (name, shape), role in zip(shapes, params.roles):
+        for (name, shape), (_, _, role) in zip(shapes, params):
             size = int(np.prod(shape)) if shape else 1
             entries.append((name, reshape(take_slice(vec, 0, off, off + size), shape), role))
             off += size
@@ -179,10 +179,10 @@ def test_forward_ce_gradient_matches_fd_convnet():
     for idx in np.ndindex(base.shape):
         w.data = base.copy()
         w.data[idx] += eps
-        up = cross_entropy(forward(params, spec, batch), labels).item()
+        up = cross_entropy(forward(params, spec, batch), labels).data.item()
         w.data = base.copy()
         w.data[idx] -= eps
-        down = cross_entropy(forward(params, spec, batch), labels).item()
+        down = cross_entropy(forward(params, spec, batch), labels).data.item()
         fd[idx] = (up - down) / (2 * eps)
     w.data = base
     ad = gs.arrays()[0]

@@ -34,6 +34,8 @@ from feddistill.tensor import (
 )
 from feddistill.unlearn import UnlearnEngine
 
+from helpers import to_vector
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SPECS = {
@@ -147,7 +149,7 @@ def test_local_pass_with_a_short_last_minibatch(name, dtype):
                                       ys[start:start + 4])
             for t, d in zip(reference.tensors(), g.tensors()):
                 t.data = t.data - t.data.dtype.type(0.1) * d.data
-        assert taped.to_vector().tobytes() == reference.to_vector().tobytes()
+        assert to_vector(taped).tobytes() == to_vector(reference).tobytes()
     assert sorted(key[1][-2][0][0] for key in spec.tapes) == [2, 4]     # batch rows per tape
 
 

@@ -33,6 +33,7 @@ from helpers import (
     col2im_reference,
     finite_diff_check,
     im2col_reference,
+    layout,
     pad_slice,
     sin,
     take_slice,
@@ -127,7 +128,7 @@ def test_fd_check_branch_away_from_kink():
 
 
 def test_fd_check_rejects_nonfinite():
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError), np.errstate(invalid="ignore"):
         finite_diff_check(lambda t: log(t).sum(), Tensor(np.array([-1.0])), eps=1e-5)
 
 
@@ -243,7 +244,7 @@ def test_second_order_mixed_partials_symmetric():
         f2 = mul(mul(x, x), y) + mul(sin(x), mul(y, y))
         (gy,) = grad(f2, [y], create_graph=True)
         (gyx,) = grad(gy, [x])
-        assert abs(gxy.item() - gyx.item()) < 1e-5
+        assert abs(gxy.data.item() - gyx.data.item()) < 1e-5
 
 
 def test_gradient_linearity():
@@ -466,7 +467,7 @@ def test_paramset_grad_returns_paramset():
     w, b = params.tensors()
     gs = grad(asum(mul(w, w)) + asum(b), params)
     assert isinstance(gs, ParamSet)
-    assert gs.names == params.names and gs.roles == params.roles
+    assert layout(gs) == layout(params)
     params.congruent_with(gs)
     np.testing.assert_allclose(gs.arrays()[0], [2.0, 4.0])
     np.testing.assert_allclose(gs.arrays()[1], [1.0])
@@ -488,7 +489,7 @@ def test_paramset_like_takes_tensors_as_they_are():
     params = _two_entry_params()
     const, tracked = Tensor(np.zeros(2)), Tensor(np.ones(1), requires_grad=True)
     out = params.like([const, tracked])
-    assert out.names == params.names and out.roles == params.roles
+    assert layout(out) == layout(params)
     assert out.tensors()[0] is const and out.tensors()[1] is tracked
     assert [t.requires_grad for t in out.tensors()] == [False, True]
     with pytest.raises(ShapeError):

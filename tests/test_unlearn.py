@@ -23,7 +23,7 @@ from feddistill.unlearn import (
     parse_request_file,
     parse_request_line,
 )
-from helpers import per_client_round
+from helpers import per_client_round, to_vector
 
 SPEC = ArchSpec(kind="mlp", input_shape=(1, 2, 2), class_count=3, hidden=(6,))
 ROOT = Path(__file__).resolve().parents[1]
@@ -164,7 +164,7 @@ def test_sga_zero_lr_is_identity():
     engine = UnlearnEngine(clients, spec, master_seed=8)
     part = engine.build_forget_partition({0}, set(), mix_per_class=0)
     out = engine.sga_round(model.params, part, lr=0.0)
-    np.testing.assert_array_equal(out.to_vector(), model.params.to_vector())
+    np.testing.assert_array_equal(to_vector(out), to_vector(model.params))
 
 
 def test_recovery_zero_lr_is_identity():
@@ -172,7 +172,7 @@ def test_recovery_zero_lr_is_identity():
     engine = UnlearnEngine(clients, spec, master_seed=9)
     part = engine.build_forget_partition({0}, set(), mix_per_class=2)
     out = engine.recovery_round(model.params, part, lr=0.0)
-    np.testing.assert_array_equal(out.to_vector(), model.params.to_vector())
+    np.testing.assert_array_equal(to_vector(out), to_vector(model.params))
 
 
 def test_sga_is_negated_sgd_for_same_batch():
@@ -188,14 +188,14 @@ def test_sga_is_negated_sgd_for_same_batch():
         t.data = np.zeros_like(t.data)
     up = engine.sga_round(zero, ascent_part, lr=0.05)
     down = engine.recovery_round(zero, descent_part, lr=0.05)
-    np.testing.assert_array_equal(up.to_vector(), -down.to_vector())
-    assert (up.to_vector() != 0).any()
+    np.testing.assert_array_equal(to_vector(up), -to_vector(down))
+    assert (to_vector(up) != 0).any()
 
     # on a trained model the steps still negate, up to fp rounding around theta
     up = engine.sga_round(model.params, ascent_part, lr=0.05)
     down = engine.recovery_round(model.params, descent_part, lr=0.05)
-    base = model.params.to_vector()
-    np.testing.assert_allclose(up.to_vector() - base, -(down.to_vector() - base), atol=1e-7)
+    base = to_vector(model.params)
+    np.testing.assert_allclose(to_vector(up) - base, -(to_vector(down) - base), atol=1e-7)
 
 
 def test_sga_empty_forget_set_errors():
@@ -214,7 +214,7 @@ def test_execute_request_zero_rounds_zero_cost():
     engine = UnlearnEngine(clients, spec, master_seed=12)
     request = UnlearningRequest(targets=[{"class": 0}], unlearn_rounds=0, recovery_rounds=0)
     out, costs = engine.execute_request(model, request)
-    np.testing.assert_array_equal(out.params.to_vector(), model.params.to_vector())
+    np.testing.assert_array_equal(to_vector(out.params), to_vector(model.params))
     assert all(c.rounds == 0 and c.samples == 0 for c in costs)
 
 
@@ -241,7 +241,7 @@ def test_execute_request_repeat_is_noop_with_warning():
     warned = engine.warnings
     model3, costs = engine.execute_request(model2, request)
     assert engine.warnings > warned
-    np.testing.assert_array_equal(model3.params.to_vector(), model2.params.to_vector())
+    np.testing.assert_array_equal(to_vector(model3.params), to_vector(model2.params))
     assert all(c.rounds == 0 for c in costs)
 
 
@@ -274,7 +274,7 @@ def test_relearn_zero_rounds_unchanged():
     engine = UnlearnEngine(clients, spec, master_seed=19)
     model2, _ = engine.execute_request(model, UnlearningRequest(targets=[{"class": 0}]))
     model3, cost = engine.relearn(model2, [{"class": 0}], rounds=0)
-    np.testing.assert_array_equal(model3.params.to_vector(), model2.params.to_vector())
+    np.testing.assert_array_equal(to_vector(model3.params), to_vector(model2.params))
     assert cost.rounds == 0
     assert 0 not in engine.forgotten_classes  # relearn clears the mark
 
@@ -285,7 +285,7 @@ def test_relearn_never_unlearned_warns_but_runs():
     out, cost = engine.relearn(model, [{"class": 1}], rounds=1)
     assert engine.warnings >= 1
     assert cost.rounds == 1
-    assert (out.params.to_vector() != model.params.to_vector()).any()
+    assert (to_vector(out.params) != to_vector(model.params)).any()
 
 
 def test_relearn_includes_target_buckets():
@@ -314,7 +314,7 @@ def _blobs_world(n_clients, alpha):
 
 
 def _bits(model):
-    return model.params.to_vector().tobytes()
+    return to_vector(model.params).tobytes()
 
 
 @pytest.mark.parametrize("n_clients, alpha, batch", [
