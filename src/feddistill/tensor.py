@@ -10,9 +10,11 @@ The graph holds no data.  A tensor in a graph has a `_Node`: whether it needs
 a gradient, its parents' nodes and its VJP.  So a forward array lives only
 while the caller, a tape slot or a VJP closure holds it, and a closure saves
 only what its rule reads (`mul`, `div` and `matmul` keep an operand only for
-the other's gradient).  `grad` frees no saved tensor: a graph can be
-differentiated twice.  `Tensor._parents` yields the parents' nodes, each with
-`_parents` in turn; the benchmark's tracer walks it to count a graph's nodes.
+the other's gradient).  Outside a recording a graph can be differentiated
+twice; inside one, a first-order `grad` frees each rule's saved tensors once
+the rule has run (see `grad`).  `Tensor._parents` yields the parents' nodes,
+each with `_parents` in turn; the benchmark's tracer walks it to count a
+graph's nodes.
 
 Arithmetic is strict: binary ops require identical shapes and dtypes.  The
 only sanctioned broadcasts are explicit (`expand`) and scalar constants.
@@ -476,8 +478,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = (a if b.requires_grad else None), (b if a.requires_grad else None)
 
     def vjp(g):
-        return (None if sb is None else matmul(g, transpose(sb)),
-                None if sa is None else matmul(transpose(sa), g))
+        # b's gradient first: a tape frees a (a patch matrix, say) and its
+        # transpose before it allocates a's gradient
+        gb = None if sa is None else matmul(transpose(sa), g)
+        return (None if sb is None else matmul(g, transpose(sb)), gb)
 
     return _op(_matmul, (a, b), vjp)
 
@@ -642,6 +646,11 @@ def _topo_order(root: _Node) -> list[_Node]:
     return order
 
 
+def _spent_vjp(g):
+    raise GraphError("this graph was already differentiated inside a recording, which frees "
+                     "each backward rule once it has run; build the graph again")
+
+
 def grad(loss: Tensor, wrt, create_graph: bool = False):
     """Reverse-mode gradients of a scalar `loss` w.r.t. `wrt`.
 
@@ -650,6 +659,12 @@ def grad(loss: Tensor, wrt, create_graph: bool = False):
     loss does not reach get zero gradients.  With ``create_graph=True`` the
     returned gradients are graph nodes that can be differentiated again; by
     default they are detached constants.
+
+    Outside a `Recorder` a graph can be differentiated any number of times.
+    Inside one, a first-order pass drops each node's VJP, and with it the
+    tensors the rule saved, right after the rule has run: a recorded call
+    differentiates its graph once, so its working set stays near its
+    replay's.  A later pass that reaches such a node raises GraphError.
     """
     tensors = wrt.tensors() if isinstance(wrt, ParamSet) else list(wrt)
     if loss.data.size != 1:
@@ -661,6 +676,7 @@ def grad(loss: Tensor, wrt, create_graph: bool = False):
     root = _graph_node(loss)
     grads: dict[int, Tensor] = {id(root): Tensor(np.ones(loss.shape, dtype=loss.data.dtype))}
     wrt_ids = {id(t._graph_node) for t in tensors}
+    spend = not create_graph and _recorder() is not None      # a recording's graph serves once
     ctx = contextlib.nullcontext() if create_graph else no_grad()
     with ctx:
         for node in reversed(_topo_order(root)):
@@ -669,6 +685,8 @@ def grad(loss: Tensor, wrt, create_graph: bool = False):
                 continue
             if node._vjp is not None:
                 parent_grads = node._vjp(g)
+                if spend:
+                    node._vjp = _spent_vjp      # frees what the rule saved
                 for p, pg in zip(node._parents, parent_grads):
                     if pg is None or not p.requires_grad:
                         continue

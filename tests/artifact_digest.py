@@ -11,9 +11,11 @@ FILE or are missing on either side (`-` from FILE, `+` from this run) and
 exits 1 if there are any.  With `--tapes` it prints instead one line per tape
 that `run` and `unlearn --requests` record, in the order they record them:
 the tape's kind, member 0's input shapes and dtypes, the grad mode, the step
-count, and a hash of the kernel sequence with the slots past the inputs
-renamed by first use, so that two trees that record the same kernels over
-the same slots print the same line.  `--against` compares these lines too.
+count, the peak live bytes of a replay over member 0's inputs
+(`helpers.tape_live_bytes`), and a hash of the kernel sequence with the
+slots past the inputs renamed by first use, so that two trees that record
+the same kernels over the same slots print the same line.  `--against`
+compares these lines too, so it flags a tape whose working set grew.
 `--src DIR` runs the commands on another checkout's `src/` (a tree from
 before this option works too, as the tape lines come from wrapping
 `tensor.tape_call`); `--case NAME` limits the run to the named configs.
@@ -144,8 +146,9 @@ def _kernel_name(kernel) -> str:
     return f"{getattr(kernel, '__module__', None)}.{name}({', '.join(plain)})"
 
 
-def _tape_line(key, tape) -> str:
-    """`kind  shapes  grad=<mode>  steps=<n>  <hash>` for one recorded tape."""
+def _tape_line(key, tape, peak: int) -> str:
+    """`kind  shapes  grad=<mode>  steps=<n>  peak=<bytes>  <hash>` for one
+    recorded tape whose replay peaks at `peak` live bytes."""
     kind, shapes, grad_mode = key
     fixed = 1 + tape._n_inputs                  # slot 0 and the inputs keep their numbers
     renamed: dict[int, int] = {}
@@ -167,7 +170,8 @@ def _tape_line(key, tape) -> str:
     shape_text = ",".join(f"{'x'.join(map(str, shape)) or '()'}:{dtype}"
                           for shape, dtype in shapes)
     digest = hashlib.sha256("\n".join(blob).encode()).hexdigest()[:16]
-    return f"{kind}  {shape_text}  grad={grad_mode}  steps={len(tape._steps)}  {digest}"
+    return (f"{kind}  {shape_text}  grad={grad_mode}  steps={len(tape._steps)}  peak={peak}  "
+            f"{digest}")
 
 
 def tape_worker(argv: list[str]) -> int:
@@ -175,16 +179,22 @@ def tape_worker(argv: list[str]) -> int:
     each call that records a tape prints its `_tape_line` after the command."""
     import contextlib
 
+    import numpy as np
+
     from feddistill import cli, runner, tensor  # noqa: F401  (imports every module)
+    from helpers import tape_live_bytes
 
     original, lines = tensor.tape_call, []
 
-    def wrapped(tapes, *args, **kwargs):
+    def wrapped(tapes, kind, inputs, record, context="", k=1, shared=0):
         before = len(tapes)
-        out = original(tapes, *args, **kwargs)
+        out = original(tapes, kind, inputs, record, context, k, shared)
         if len(tapes) != before:
             key = next(reversed(tapes))             # the key this call recorded
-            lines.append(_tape_line(key, tapes[key]))
+            first = inputs if k == 1 else inputs[:shared] + [a[0] for a in inputs[shared:]]
+            # copies, so that an input viewing a larger array counts its own bytes
+            peak = max(tape_live_bytes(tapes[key], [np.array(a) for a in first]))
+            lines.append(_tape_line(key, tapes[key], peak))
         return out
 
     for module in list(sys.modules.values()):

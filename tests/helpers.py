@@ -1,10 +1,10 @@
 """Helpers that only the tests use: a finite-difference gradient check, a
 centralized SGD trainer, the per-client reference of an unlearning round,
 reference patch kernels, the reference MIA threshold scan, slicing and
-trigonometric ops, and a few small accessors."""
+trigonometric ops, a tape's live bytes, and a few small accessors."""
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -16,7 +16,7 @@ from feddistill.evaluate import StageRecord
 from feddistill.federation import aggregate
 from feddistill.models import ArchSpec, InitDistribution, cross_entropy, forward, init_params
 from feddistill.seeds import make_rng
-from feddistill.tensor import ParamSet, Tensor, _op, grad, mul, neg
+from feddistill.tensor import ParamSet, Tape, Tensor, _op, grad, mul, neg
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float,
@@ -199,3 +199,26 @@ def sin(a: Tensor) -> Tensor:
 
 def cos(a: Tensor) -> Tensor:
     return _op(np.cos, (a,), lambda g: (neg(mul(g, sin(a))),))
+
+
+def tape_live_bytes(tape: Tape, inputs: Sequence[np.ndarray]) -> list[int]:
+    """The bytes a replay of `tape` over `inputs` holds at each step, as
+    `Tape.run` runs it: after the step's output is stored and before the
+    slots it reads for the last time are freed.  Every array in a slot
+    counts once per owning buffer, so a view adds nothing to what it views;
+    inputs and constants count too."""
+    slots = list(tape._template)
+    slots[1:1 + tape._n_inputs] = inputs
+    live = []
+    for kernel, ins, out, dead in tape._steps:
+        slots[out] = kernel(*[slots[i] for i in ins])
+        owners = {}
+        for arr in slots:
+            while isinstance(arr, np.ndarray) and isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            if isinstance(arr, np.ndarray):
+                owners[id(arr)] = arr.nbytes
+        live.append(sum(owners.values()))
+        for i in dead:
+            slots[i] = None
+    return live
